@@ -24,14 +24,13 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import corpus as corpus_mod
 from .dsl import ParseError, parse_expression, to_dsl
-from .estimator import EstimatorConfig, estimate_density, schedule
+from .estimator import EstimatorConfig, estimate_density, ordered_map, schedule
 from .exact import exact_density
 from .oracle import brute_partial_sum, counting_density
 from .series import BudgetExceeded, density_at, partial_double_sum
@@ -356,11 +355,7 @@ def _check_entry(item) -> list[_CheckRow]:
 
 def _cmd_check(args) -> int:
     entries = [(c, args) for c in corpus_mod.CORPUS]
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            groups = list(pool.map(_check_entry, entries))
-    else:
-        groups = [_check_entry(item) for item in entries]
+    groups = ordered_map(_check_entry, entries, args.workers)
     rows = [row.to_row() for group in groups for row in group]
     failed = sum(1 for r in rows if r["status"] != "pass")
     if args.format == "json":

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -37,6 +37,15 @@ __all__ = [
     "zeta_limit_check",
     "theta_invariance_check",
 ]
+
+
+def ordered_map(fn: Callable, items: Sequence, workers: int) -> list:
+    """fn over items on up to `workers` threads, results in input order, so
+    the output does not depend on the worker count."""
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
 
 
 def schedule(k0: int = 0, k1: int = 6) -> tuple[float, ...]:
@@ -134,11 +143,7 @@ def estimate_density(
         return density_at(e, s, cfg.per_point_eps, term_budget=cfg.term_budget,
                           loosen=True)
 
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            points = tuple(pool.map(point, cfg.s_schedule))
-    else:
-        points = tuple(point(s) for s in cfg.s_schedule)
+    points = tuple(ordered_map(point, cfg.s_schedule, cfg.workers))
 
     xs = np.array([p.s - 1.0 for p in points])
     ys = np.array([p.value for p in points])

@@ -1,25 +1,33 @@
-"""Closed-form density rules, applied by structural recursion.
+"""Closed-form density rules over the compiled atoms.
 
-Each rule is one of the proved identities for the quadrant density: products
-multiply factor densities, lattices give 1/(pq), translation leaves the
-density alone, dilation by (a, b) divides it by ab, intersections of lattices
-reduce through coordinatewise lcms, a set with a provably finite axis section
-has density zero, the tail region UPPER(m0, n0) has unit density (so
-intersecting with it changes nothing), and delimited sets between power-type
-bounds carry density 1/(1+alpha) - 1/(1+beta) independent of the bound
-coefficients.
+An expression is normalised and compiled (``gaussdens.atoms``) into a merged
+signed multiset of atoms, the same one the series engine sums; its density is
+the sum of coefficient times the atom's closed form.  The density is finitely
+additive and translation invariant, and dilation by (a, b) divides it by ab,
+so the atom rules are all that is needed:
 
-When no rule applies the result is Unknown -- never a guess.  Every known
-value carries a trace of the rule names used to derive it.
+* a product of progressions with steps p and q has density 1/(pq); a product
+  with a finite axis, or a finite set of points, has density 0;
+* a delimited band between power-type bounds has density
+  1/(1+alpha) - 1/(1+beta) whatever the bound coefficients and lower cuts,
+  divided by the scale of its affine map;
+* a generic atom (an intersection no rule reduces, or a whole expression
+  whose merged multiset at some node exceeded the atom cap) has density 0
+  when it has a provably finite axis section, and Unknown otherwise.
+
+One Unknown atom makes the whole density Unknown -- never a guess.  Every
+known value carries a trace: ``normalize`` when normalisation changed the
+expression, the algebra rules of its nodes, then the rules of its atoms.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional
 
+from .atoms import DelimAtom, FinAtom, GenAtom, ProdAtom, Prog, compile_set
 from .sets import (
     BoundFn,
     Complement,
@@ -41,7 +49,6 @@ from .sets import (
     Intersection,
     Lattice,
     Multiples,
-    Power,
     Product,
     Translate,
     Union,
@@ -123,32 +130,18 @@ class DensityValue:
 
 
 def _known_fraction(x: Fraction, *traces: tuple[str, ...] | str) -> DensityValue:
-    items: list[str] = []
-    for t in traces:
-        if isinstance(t, str):
-            items.append(t)
-        else:
-            items.extend(t)
-    dedup = tuple(_dedup(items))
-    return DensityValue.from_fraction(x, dedup)
-
-
-def _dedup(items: list[str]) -> list[str]:
-    out: list[str] = []
-    for x in items:
-        if not out or out[-1] != x:
-            out.append(x)
-    return out
+    return DensityValue.from_fraction(x, _merge_traces(*traces))
 
 
 def _merge_traces(*parts) -> tuple[str, ...]:
-    items: list[str] = []
+    """The rule names of the parts (names or tuples of names), adjacent
+    duplicates removed."""
+    out: list[str] = []
     for p in parts:
-        if isinstance(p, str):
-            items.append(p)
-        else:
-            items.extend(p)
-    return tuple(_dedup(items))
+        for x in (p,) if isinstance(p, str) else p:
+            if not out or out[-1] != x:
+                out.append(x)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -284,82 +277,15 @@ def axis_section_finite(e: GaussSetExpr) -> tuple[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# Affine progression products (for intersections of shifted/scaled lattices)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _Prog:
-    """Arithmetic progression {first + k*step : k >= 0} with first >= 1."""
-
-    step: int
-    first: int
-
-
-def _axis_progs(e: GaussSetExpr) -> Optional[tuple[_Prog, _Prog]]:
-    """Represent e as a product of arithmetic progressions, if it is one."""
-    if isinstance(e, FullQuadrant):
-        return (_Prog(1, 1), _Prog(1, 1))
-    if isinstance(e, Lattice):
-        return (_Prog(e.p, e.p), _Prog(e.q, e.q))
-    if isinstance(e, UpperQuadrant):
-        return (_Prog(1, e.m0), _Prog(1, e.n0))
-    if isinstance(e, Product):
-        def prog_1d(s: IntSetExpr) -> Optional[_Prog]:
-            if isinstance(s, FullP):
-                return _Prog(1, 1)
-            if isinstance(s, Multiples):
-                return _Prog(s.modulus, s.modulus)
-            return None
-
-        h, v = prog_1d(e.h), prog_1d(e.v)
-        if h is None or v is None:
-            return None
-        return (h, v)
-    if isinstance(e, Translate):
-        inner = _axis_progs(e.inner)
-        if inner is None:
-            return None
-        m0, n0 = e.offset
-        (h, v) = inner
-        return (_Prog(h.step, h.first + m0), _Prog(v.step, v.first + n0))
-    if isinstance(e, Dilate):
-        inner = _axis_progs(e.inner)
-        if inner is None:
-            return None
-        a, b = e.factor
-        (h, v) = inner
-        return (_Prog(a * h.step, a * h.first), _Prog(b * v.step, b * v.first))
-    return None
-
-
-def _prog_intersect(a: _Prog, b: _Prog) -> Optional[_Prog]:
-    """CRT intersection of two progressions; None when they are disjoint."""
-    g = math.gcd(a.step, b.step)
-    if (b.first - a.first) % g != 0:
-        return None
-    step = math.lcm(a.step, b.step)
-    # solve x = a.first (mod a.step), x = b.first (mod b.step)
-    t = ((b.first - a.first) // g * pow(a.step // g, -1, b.step // g)) % (b.step // g)
-    x0 = a.first + a.step * t
-    lo = max(a.first, b.first)
-    if x0 < lo:
-        x0 += ((lo - x0 + step - 1) // step) * step
-    return _Prog(step, x0)
-
-
-# ---------------------------------------------------------------------------
 # Two-dimensional density
 # ---------------------------------------------------------------------------
 
-def _delimited_density(e: Delimited) -> DensityValue:
-    lower, upper = e.lower, e.upper
+def _delimited_density(atom: DelimAtom) -> DensityValue:
+    """Density of the band before its affine map; lower cuts do not change it."""
+    lower, upper = atom.lower, atom.upper
 
-    def power_exponent(b: BoundFn) -> Optional[Fraction]:
-        if isinstance(b, Constant):
-            return Fraction(0)
-        if isinstance(b, Power):
-            return b.alpha
-        return None
+    def power_exponent(b: BoundFn) -> Fraction:
+        return Fraction(0) if isinstance(b, Constant) else b.alpha
 
     if isinstance(lower, Exponential):
         # thins faster than any power band; the power value 1/(1+alpha)
@@ -367,9 +293,6 @@ def _delimited_density(e: Delimited) -> DensityValue:
         return _known_fraction(Fraction(0), "exp-lower-null")
 
     alpha = power_exponent(lower)
-    if alpha is None:
-        return DensityValue.unknown()
-
     if isinstance(upper, Exponential):
         if alpha == 0:
             return _known_fraction(Fraction(1), "exp-upper-full")
@@ -377,8 +300,6 @@ def _delimited_density(e: Delimited) -> DensityValue:
         return _rational_or_real(value, alpha, None, ("power-lower-exp-upper",))
 
     beta = power_exponent(upper)
-    if beta is None:
-        return DensityValue.unknown()
     value = Fraction(1) / (1 + alpha) - Fraction(1) / (1 + beta)
     return _rational_or_real(value, alpha, beta, ("power-bounds",))
 
@@ -398,162 +319,76 @@ def _rational_or_real(
     return DensityValue.from_real(float(value), symbolic, trace)
 
 
-def exact_density(e: GaussSetExpr) -> DensityValue:
-    """Density of a quadrant set by the closed-form rule system."""
-    normalized = normalize(e)
-    value = _dens(normalized)
-    if normalized != e and value.is_known:
-        return DensityValue(
-            value.kind,
-            value.rational,
-            value.value,
-            value.symbolic,
-            _merge_traces("normalize", value.trace),
-        )
-    return value
-
-
-def _dens(e: GaussSetExpr) -> DensityValue:
-    if isinstance(e, Empty):
-        return _known_fraction(Fraction(0), "empty-set")
-    if isinstance(e, FullQuadrant):
-        return _known_fraction(Fraction(1), "full-quadrant")
-    if isinstance(e, FinitePairs):
+def _atom_density(atom) -> DensityValue:
+    """Closed-form density of one compiled atom."""
+    if isinstance(atom, ProdAtom):
+        if isinstance(atom.h, Prog) and isinstance(atom.v, Prog):
+            return _known_fraction(Fraction(1, atom.h.step * atom.v.step),
+                                   "product-rule", "multiples-rule")
+        return _known_fraction(Fraction(0), "product-rule", "finite-null")
+    if isinstance(atom, FinAtom):
         return _known_fraction(Fraction(0), "finite-pairs")
-    if isinstance(e, UpperQuadrant):
-        return _known_fraction(Fraction(1), "upper-quadrant-unit")
-    if isinstance(e, Lattice):
-        return _known_fraction(Fraction(1, e.p * e.q), "product-rule", "multiples-rule")
-    if isinstance(e, Product):
-        dh = exact_density_1d(e.h)
-        dv = exact_density_1d(e.v)
-        if dh.kind == "rational" and dv.kind == "rational":
-            return _known_fraction(dh.rational * dv.rational, "product-rule", dh.trace, dv.trace)
-        return _axis_fallback(e)
-    if isinstance(e, Translate):
-        inner = _dens(e.inner)
-        if inner.is_known:
-            return DensityValue(
-                inner.kind,
-                inner.rational,
-                inner.value,
-                inner.symbolic,
-                _merge_traces("translation-invariance", inner.trace),
-            )
-        return DensityValue.unknown()
-    if isinstance(e, Dilate):
-        inner = _dens(e.inner)
-        a, b = e.factor
-        if inner.kind == "rational":
-            return _known_fraction(inner.rational / (a * b), "dilation-scaling", inner.trace)
-        if inner.kind == "real":
-            return DensityValue.from_real(
-                inner.value / (a * b),
-                f"({inner.symbolic})/{a * b}",
-                _merge_traces("dilation-scaling", inner.trace),
-            )
-        return DensityValue.unknown()
-    if isinstance(e, Difference):
-        db = _dens(e.left)
-        dab = _dens(Intersection(e.right, e.left))
-        return _combine(db, dab, lambda x, y: x - y, "difference-rule")
-    if isinstance(e, Complement):
-        da = _dens(e.inner)
-        if da.kind == "rational":
-            return _known_fraction(1 - da.rational, "complement-rule", da.trace)
-        if da.kind == "real":
-            return DensityValue.from_real(
-                1.0 - da.value, f"1 - ({da.symbolic})",
-                _merge_traces("complement-rule", da.trace),
-            )
-        return DensityValue.unknown()
-    if isinstance(e, Union):
-        da = _dens(e.left)
-        db = _dens(e.right)
-        dab = _dens(Intersection(e.left, e.right))
-        if not (da.is_known and db.is_known and dab.is_known):
-            return _axis_fallback(e)
-        if da.kind == db.kind == dab.kind == "rational":
-            return _known_fraction(
-                da.rational + db.rational - dab.rational,
-                "inclusion-exclusion", da.trace, db.trace, dab.trace,
-            )
-        return DensityValue.from_real(
-            da.value + db.value - dab.value,
-            f"{da.value!r} + {db.value!r} - {dab.value!r}",
-            _merge_traces("inclusion-exclusion", da.trace, db.trace, dab.trace),
-        )
-    if isinstance(e, Intersection):
-        return _intersection_density(e)
-    if isinstance(e, Delimited):
-        return _delimited_density(e)
-    raise TypeError(f"unknown GaussSetExpr node {e!r}")
-
-
-def _combine(da: DensityValue, db: DensityValue, op, rule: str) -> DensityValue:
-    if not (da.is_known and db.is_known):
-        return DensityValue.unknown()
-    if da.kind == db.kind == "rational":
-        return _known_fraction(op(da.rational, db.rational), rule, da.trace, db.trace)
-    value = float(op(da.as_float(), db.as_float()))
-    return DensityValue.from_real(
-        value, f"{da.value!r}, {db.value!r} via {rule}",
-        _merge_traces(rule, da.trace, db.trace),
-    )
-
-
-def _intersection_density(e: Intersection) -> DensityValue:
-    left, right = e.left, e.right
-    # the tail region has unit density, so it absorbs
-    if isinstance(right, UpperQuadrant):
-        inner = _dens(left)
-        if inner.is_known:
-            return DensityValue(
-                inner.kind, inner.rational, inner.value, inner.symbolic,
-                _merge_traces("heavy-tail", inner.trace),
-            )
-    if isinstance(left, UpperQuadrant):
-        inner = _dens(right)
-        if inner.is_known:
-            return DensityValue(
-                inner.kind, inner.rational, inner.value, inner.symbolic,
-                _merge_traces("heavy-tail", inner.trace),
-            )
-    # products intersect coordinatewise
-    if isinstance(left, Product) and isinstance(right, Product):
-        return _dens_of_product_pair(left, right)
-    # shifted/scaled lattices: CRT on each axis
-    pa = _axis_progs(left)
-    pb = _axis_progs(right)
-    if pa is not None and pb is not None:
-        h = _prog_intersect(pa[0], pb[0])
-        v = _prog_intersect(pa[1], pb[1])
-        if h is None or v is None:
-            return _known_fraction(Fraction(0), "progression-intersection", "empty-set")
-        return _known_fraction(
-            Fraction(1, h.step * v.step),
-            "progression-intersection", "translation-invariance",
-            "product-rule", "multiples-rule",
-        )
-    return _axis_fallback(e)
-
-
-def _dens_of_product_pair(a: Product, b: Product) -> DensityValue:
-    h = _intersect_1d(a.h, b.h)
-    v = _intersect_1d(a.v, b.v)
-    if h is None or v is None:
-        return _axis_fallback(Intersection(a, b))
-    sub = _dens(normalize(Product(h, v)))
-    if sub.is_known:
-        return DensityValue(
-            sub.kind, sub.rational, sub.value, sub.symbolic,
-            _merge_traces("product-intersection", sub.trace),
-        )
-    return _axis_fallback(Intersection(a, b))
-
-
-def _axis_fallback(e: GaussSetExpr) -> DensityValue:
-    h, v = axis_section_finite(e)
-    if h == "finite" or v == "finite":
+    if isinstance(atom, DelimAtom):
+        band = _delimited_density(atom)
+        scale = atom.am * atom.an
+        if scale == 1:
+            return band
+        if band.kind == "rational":
+            return _known_fraction(band.rational / scale, band.trace)
+        return DensityValue.from_real(band.value / scale, f"({band.symbolic})/{scale}",
+                                      band.trace)
+    assert isinstance(atom, GenAtom)
+    if "finite" in axis_section_finite(atom.expr):
         return _known_fraction(Fraction(0), "finite-axis-section")
     return DensityValue.unknown()
+
+
+_NODE_RULES = {
+    Empty: "empty-set",
+    FinitePairs: "finite-pairs",
+    Product: "product-rule",
+    Translate: "translation-invariance",
+    Dilate: "dilation-scaling",
+    Union: "inclusion-exclusion",
+    Intersection: "intersection-rule",
+    Difference: "difference-rule",
+    Complement: "complement-rule",
+    IntUnion: "inclusion-exclusion",
+    IntIntersection: "lcm-intersection",
+    IntComplement: "complement-rule",
+}
+
+
+def _node_rules(e) -> list[str]:
+    """Algebra rule names of the expression's nodes, parents first."""
+    out = [_NODE_RULES[type(e)]] if type(e) in _NODE_RULES else []
+    for f in fields(e):
+        child = getattr(e, f.name)
+        if isinstance(child, (GaussSetExpr, IntSetExpr)):
+            out += _node_rules(child)
+    return out
+
+
+def exact_density(e: GaussSetExpr) -> DensityValue:
+    """Density of a quadrant set: the sum of coefficient times closed-form
+    density over the atoms the set compiles to, Unknown when an atom has none."""
+    normalized = normalize(e)
+    parts = [(c, _atom_density(a)) for a, c in compile_set(normalized).items()]
+    if not all(d.is_known for _, d in parts):
+        return DensityValue.unknown()
+    trace = _merge_traces(
+        "normalize" if normalized != e else (),
+        _node_rules(normalized),
+        *dict.fromkeys(d.trace for _, d in parts),
+    )
+    rational = sum((c * d.rational for c, d in parts if d.kind == "rational"), Fraction(0))
+    reals = [(c, d) for c, d in parts if d.kind == "real"]
+    if not reals:
+        return DensityValue.from_fraction(rational, trace)
+    terms = [str(rational)] if rational else []
+    for c, d in reals:
+        times = "" if abs(c) == 1 else f"{abs(c)}*"
+        terms.append(f"{'-' if c < 0 else '+'} {times}({d.symbolic})")
+    symbolic = " ".join(terms).removeprefix("+ ")
+    value = float(rational) + math.fsum(c * d.value for c, d in reals)
+    return DensityValue.from_real(value, symbolic, trace)

@@ -9,11 +9,13 @@ with a rigorous bound on the omitted mass.  Everything else in the package
 
 Evaluation strategy
 -------------------
-An expression is first compiled into a signed list of *atoms*, exact at the
-level of indicator functions: unions expand through inclusion-exclusion,
-complements through the full quadrant, intersections through coordinatewise
-arithmetic on progressions (CRT), and translations/dilations through affine
-reindexing.  Atom kinds:
+An expression is normalised and compiled (``gaussdens.atoms``, shared with
+the exact engine) into a merged signed multiset of *atoms*: a map from atom
+to integer coefficient, exact at the level of indicator functions.  Each
+distinct atom is evaluated once to the target eps * zeta(s)^2 / sum |coef|,
+and its error counts |coef| times.  When any node of the expression would
+hold more than ``ATOM_CAP`` atoms, the whole expression is one generic atom.
+Atom kinds:
 
 * product atoms: a progression (or finite list) on each axis; the double sum
   factors into two one-dimensional Dirichlet sums, each evaluated by direct
@@ -68,38 +70,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
+from .atoms import DelimAtom, Fin, FinAtom, GenAtom, ProdAtom, Prog, compile_set
 from .sets import (
     BoundFn,
-    Complement,
     Constant,
-    Delimited,
-    Difference,
-    Dilate,
-    Empty,
     Exponential,
-    FiniteSet,
-    FinitePairs,
-    FullP,
-    FullQuadrant,
     GaussSetExpr,
-    IntComplement,
-    IntIntersection,
-    IntSetExpr,
-    IntUnion,
-    Intersection,
-    Lattice,
-    Multiples,
     Power,
-    Product,
-    Translate,
-    Union,
-    UpperQuadrant,
-    contains,
     grid_mask,
+    normalize,
 )
 
 __all__ = [
@@ -118,7 +100,6 @@ _TABLE = 10_000         # inner tails up to this cut point are tabulated exactly
 _DIRECT_SPAN = 10_000   # range_sum switches to EM differences past this span
 _GENERIC_HARD_CAP = 20_000    # generic box side cap (memory/time)
 _ROW_CHUNK_BYTES = 64_000_000
-_ATOM_CAP = 512
 
 
 class BudgetExceeded(RuntimeError):
@@ -227,264 +208,12 @@ def range_sum(a: int, b: int, s: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Atom model
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _Prog:
-    """{first + k*step : k >= 0}, first >= 1."""
-
-    step: int
-    first: int
-
-
-@dataclass(frozen=True)
-class _Fin:
-    values: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class _ProdAtom:
-    h: object  # _Prog | _Fin
-    v: object
-
-
-@dataclass(frozen=True)
-class _FinAtom:
-    pairs: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class _DelimAtom:
-    """Rows u >= u_min with f(u) <= v <= g(u) and v >= v_min, mapped to the
-    points (am*u + bm, an*v + bn)."""
-
-    lower: BoundFn
-    upper: BoundFn
-    am: int
-    bm: int
-    an: int
-    bn: int
-    u_min: int
-    v_min: int
-
-
-@dataclass(frozen=True)
-class _GenAtom:
-    expr: GaussSetExpr
-
-
-class _Unsupported(Exception):
-    pass
-
-
-_FULL_ATOM = _ProdAtom(_Prog(1, 1), _Prog(1, 1))
-
-
-def _compile_1d(e: IntSetExpr) -> list[tuple[int, object]]:
-    if isinstance(e, FullP):
-        return [(1, _Prog(1, 1))]
-    if isinstance(e, Multiples):
-        return [(1, _Prog(e.modulus, e.modulus))]
-    if isinstance(e, FiniteSet):
-        return [(1, _Fin(e.elements))] if e.elements else []
-    if isinstance(e, IntComplement):
-        return [(1, _Prog(1, 1))] + [(-sg, a) for sg, a in _compile_1d(e.inner)]
-    if isinstance(e, IntUnion):
-        ca, cb = _compile_1d(e.left), _compile_1d(e.right)
-        both = _pairwise_1d(ca, cb)
-        return ca + cb + [(-sg, a) for sg, a in both]
-    if isinstance(e, IntIntersection):
-        return _pairwise_1d(_compile_1d(e.left), _compile_1d(e.right))
-    raise TypeError(f"unknown IntSetExpr node {e!r}")
-
-
-def _prog_intersect(a: _Prog, b: _Prog) -> Optional[_Prog]:
-    g = math.gcd(a.step, b.step)
-    if (b.first - a.first) % g != 0:
-        return None
-    step = math.lcm(a.step, b.step)
-    t = ((b.first - a.first) // g * pow(a.step // g, -1, b.step // g)) % (b.step // g)
-    x0 = a.first + a.step * t
-    lo = max(a.first, b.first)
-    if x0 < lo:
-        x0 += ((lo - x0 + step - 1) // step) * step
-    return _Prog(step, x0)
-
-
-def _atom1d_contains(a, x: int) -> bool:
-    if isinstance(a, _Prog):
-        return x >= a.first and (x - a.first) % a.step == 0
-    return x in a.values
-
-
-def _atom1d_intersect(a, b):
-    """Intersection of 1-D atoms; None when empty."""
-    if isinstance(a, _Fin):
-        vals = tuple(x for x in a.values if _atom1d_contains(b, x))
-        return _Fin(vals) if vals else None
-    if isinstance(b, _Fin):
-        return _atom1d_intersect(b, a)
-    return _prog_intersect(a, b)
-
-
-def _pairwise_1d(ca, cb):
-    out = []
-    for sa, a in ca:
-        for sb, b in cb:
-            ab = _atom1d_intersect(a, b)
-            if ab is not None:
-                out.append((sa * sb, ab))
-    return out
-
-
-def _compile(e: GaussSetExpr) -> list[tuple[int, object]]:
-    atoms = _compile_inner(e)
-    if len(atoms) > _ATOM_CAP:
-        return [(1, _GenAtom(e))]
-    return atoms
-
-
-def _compile_inner(e: GaussSetExpr) -> list[tuple[int, object]]:
-    if isinstance(e, Empty):
-        return []
-    if isinstance(e, FullQuadrant):
-        return [(1, _FULL_ATOM)]
-    if isinstance(e, Lattice):
-        return [(1, _ProdAtom(_Prog(e.p, e.p), _Prog(e.q, e.q)))]
-    if isinstance(e, UpperQuadrant):
-        return [(1, _ProdAtom(_Prog(1, e.m0), _Prog(1, e.n0)))]
-    if isinstance(e, Product):
-        out = []
-        for sh, h in _compile_1d(e.h):
-            for sv, v in _compile_1d(e.v):
-                out.append((sh * sv, _ProdAtom(h, v)))
-        return out
-    if isinstance(e, FinitePairs):
-        return [(1, _FinAtom(e.pairs))] if e.pairs else []
-    if isinstance(e, Delimited):
-        return [(1, _DelimAtom(e.lower, e.upper, 1, 0, 1, 0, 1, 1))]
-    if isinstance(e, Translate):
-        m0, n0 = e.offset
-        return [(sg, _shift_atom(a, m0, n0, e)) for sg, a in _compile_inner(e.inner)]
-    if isinstance(e, Dilate):
-        a0, b0 = e.factor
-        return [(sg, _scale_atom(a, a0, b0, e)) for sg, a in _compile_inner(e.inner)]
-    if isinstance(e, Union):
-        ca = _compile_inner(e.left)
-        cb = _compile_inner(e.right)
-        cab = _compile_inner(Intersection(e.left, e.right))
-        return ca + cb + [(-sg, a) for sg, a in cab]
-    if isinstance(e, Difference):
-        ca = _compile_inner(e.left)
-        cab = _compile_inner(Intersection(e.left, e.right))
-        return ca + [(-sg, a) for sg, a in cab]
-    if isinstance(e, Complement):
-        return [(1, _FULL_ATOM)] + [(-sg, a) for sg, a in _compile_inner(e.inner)]
-    if isinstance(e, Intersection):
-        ca = _compile_inner(e.left)
-        cb = _compile_inner(e.right)
-        out = []
-        try:
-            for sa, a in ca:
-                for sb, b in cb:
-                    ab = _atom_intersect(a, b)
-                    if ab is not None:
-                        out.append((sa * sb, ab))
-        except _Unsupported:
-            return [(1, _GenAtom(e))]
-        return out
-    raise TypeError(f"unknown GaussSetExpr node {e!r}")
-
-
-def _shift_atom(a, m0: int, n0: int, src: GaussSetExpr):
-    if isinstance(a, _ProdAtom):
-        return _ProdAtom(_shift_1d(a.h, m0), _shift_1d(a.v, n0))
-    if isinstance(a, _FinAtom):
-        return _FinAtom(tuple((m + m0, n + n0) for m, n in a.pairs))
-    if isinstance(a, _DelimAtom):
-        return _DelimAtom(a.lower, a.upper, a.am, a.bm + m0, a.an, a.bn + n0,
-                          a.u_min, a.v_min)
-    if isinstance(a, _GenAtom):
-        return _GenAtom(Translate(a.expr, (m0, n0)))
-    raise TypeError(a)
-
-
-def _shift_1d(a, t: int):
-    if isinstance(a, _Prog):
-        return _Prog(a.step, a.first + t)
-    return _Fin(tuple(x + t for x in a.values))
-
-
-def _scale_1d(a, f: int):
-    if isinstance(a, _Prog):
-        return _Prog(a.step * f, a.first * f)
-    return _Fin(tuple(x * f for x in a.values))
-
-
-def _scale_atom(a, a0: int, b0: int, src: GaussSetExpr):
-    if isinstance(a, _ProdAtom):
-        return _ProdAtom(_scale_1d(a.h, a0), _scale_1d(a.v, b0))
-    if isinstance(a, _FinAtom):
-        return _FinAtom(tuple((m * a0, n * b0) for m, n in a.pairs))
-    if isinstance(a, _DelimAtom):
-        return _DelimAtom(a.lower, a.upper, a.am * a0, a.bm * a0,
-                          a.an * b0, a.bn * b0, a.u_min, a.v_min)
-    if isinstance(a, _GenAtom):
-        return _GenAtom(Dilate((a0, b0), a.expr))
-    raise TypeError(a)
-
-
-def _atom_contains(a, m: int, n: int) -> bool:
-    if isinstance(a, _ProdAtom):
-        return _atom1d_contains(a.h, m) and _atom1d_contains(a.v, n)
-    if isinstance(a, _FinAtom):
-        return (m, n) in a.pairs
-    if isinstance(a, _DelimAtom):
-        if (m - a.bm) % a.am or (n - a.bn) % a.an:
-            return False
-        u = (m - a.bm) // a.am
-        v = (n - a.bn) // a.an
-        if u < a.u_min or v < a.v_min:
-            return False
-        return a.lower.ceil_at(u) <= v <= a.upper.floor_at(u)
-    if isinstance(a, _GenAtom):
-        return contains(a.expr, (m, n))
-    raise TypeError(a)
-
-
-def _atom_intersect(a, b):
-    if isinstance(a, _FinAtom) or isinstance(b, _FinAtom):
-        fin, other = (a, b) if isinstance(a, _FinAtom) else (b, a)
-        pts = tuple(p for p in fin.pairs if _atom_contains(other, p[0], p[1]))
-        return _FinAtom(pts) if pts else None
-    if isinstance(a, _ProdAtom) and isinstance(b, _ProdAtom):
-        h = _atom1d_intersect(a.h, b.h)
-        v = _atom1d_intersect(a.v, b.v)
-        if h is None or v is None:
-            return None
-        return _ProdAtom(h, v)
-    if isinstance(a, _DelimAtom) or isinstance(b, _DelimAtom):
-        delim, other = (a, b) if isinstance(a, _DelimAtom) else (b, a)
-        if isinstance(other, _ProdAtom):
-            h, v = other.h, other.v
-            if isinstance(h, _Prog) and isinstance(v, _Prog) and h.step == 1 and v.step == 1:
-                # quadrant cut: first coordinates become lower cuts in (u, v)
-                u_min = max(delim.u_min, -(-(h.first - delim.bm) // delim.am))
-                v_min = max(delim.v_min, -(-(v.first - delim.bn) // delim.an))
-                return _DelimAtom(delim.lower, delim.upper, delim.am, delim.bm,
-                                  delim.an, delim.bn, max(u_min, 1), max(v_min, 1))
-        raise _Unsupported
-    raise _Unsupported
-
-
-# ---------------------------------------------------------------------------
 # Atom evaluation
 # ---------------------------------------------------------------------------
 
 def _dsum_1d(a, s: float) -> tuple[float, float, int]:
     """(value, error bound, terms) of sum over the 1-D atom of x^(-s)."""
-    if isinstance(a, _Fin):
+    if isinstance(a, Fin):
         vals = [float(x) ** -s for x in a.values]
         return math.fsum(vals), 1e-15 * math.fsum(map(abs, vals)), len(vals)
     d, t = a.step, a.first
@@ -582,7 +311,7 @@ def _crossover_u(b: BoundFn, target: float) -> int:
     return max(1, int(math.ceil(math.log(max(target / c, 1.0)) / math.log(base))) + 1)
 
 
-def _delim_rem_terms(side: BoundFn, sign: float, atom: _DelimAtom, s: float,
+def _delim_rem_terms(side: BoundFn, sign: float, atom: DelimAtom, s: float,
                      M: int) -> tuple[float, float]:
     """(value, error bound) of sign * sum_{u>M} W(u) * T(cut of side(u)).
 
@@ -637,7 +366,7 @@ def _delim_rem_terms(side: BoundFn, sign: float, atom: _DelimAtom, s: float,
     return sign * scale * val, scale * err
 
 
-def _delim_required_start(atom: _DelimAtom) -> int:
+def _delim_required_start(atom: DelimAtom) -> int:
     btil = atom.bm / atom.am
     beta_til = atom.bn / atom.an
     target = max(2.0 * (beta_til + 0.5), float(atom.v_min) + 1.0, _EM_MIN)
@@ -648,7 +377,7 @@ def _delim_required_start(atom: _DelimAtom) -> int:
     return m
 
 
-def _eval_delim_atom(atom: _DelimAtom, s: float, eps_abs: float,
+def _eval_delim_atom(atom: DelimAtom, s: float, eps_abs: float,
                      rows_budget: int) -> tuple[float, float, int, bool]:
     """(value, error bound, rows used, met) of the atom's double sum."""
     am, bm, an, bn = atom.am, atom.bm, atom.an, atom.bn
@@ -660,7 +389,7 @@ def _eval_delim_atom(atom: _DelimAtom, s: float, eps_abs: float,
         if lo > hi:
             return 0.0, 0.0, 0, True
         band = _tail_int(lo - 1, s, an, bn) - _tail_int(hi, s, an, bn)
-        outer, outer_err, terms = _dsum_1d(_Prog(am, am * atom.u_min + bm), s)
+        outer, outer_err, terms = _dsum_1d(Prog(am, am * atom.u_min + bm), s)
         return band * outer, band * outer_err + 1e-15 * band * outer, terms, True
 
     def rem_bounds(M: int) -> tuple[float, float]:
@@ -711,7 +440,7 @@ def _eval_delim_atom(atom: _DelimAtom, s: float, eps_abs: float,
     return value, err, total_rows, met
 
 
-def _eval_gen_atom(atom: _GenAtom, s: float, eps_abs: float,
+def _eval_gen_atom(atom: GenAtom, s: float, eps_abs: float,
                    terms_budget: int) -> tuple[float, float, int, bool]:
     z = zeta(s)
     d = s - 1.0
@@ -734,16 +463,16 @@ def _eval_gen_atom(atom: _GenAtom, s: float, eps_abs: float,
 
 
 def _eval_atom(a, s: float, eps_abs: float, budget: int):
-    if isinstance(a, _ProdAtom):
+    if isinstance(a, ProdAtom):
         vh, eh, th = _dsum_1d(a.h, s)
         vv, ev, tv = _dsum_1d(a.v, s)
         return vh * vv, vh * ev + vv * eh + eh * ev, th + tv, True
-    if isinstance(a, _FinAtom):
+    if isinstance(a, FinAtom):
         vals = [(float(m) * float(n)) ** -s for m, n in a.pairs]
         return math.fsum(vals), 1e-15 * len(vals), len(vals), True
-    if isinstance(a, _DelimAtom):
+    if isinstance(a, DelimAtom):
         return _eval_delim_atom(a, s, eps_abs, budget)
-    if isinstance(a, _GenAtom):
+    if isinstance(a, GenAtom):
         return _eval_gen_atom(a, s, eps_abs, budget)
     raise TypeError(a)
 
@@ -777,10 +506,9 @@ def partial_double_sum(e: GaussSetExpr, s: float, N: int) -> float:
 
 
 def _method_label(atoms) -> str:
-    kinds = {type(a).__name__ for _, a in atoms}
-    if "_GenAtom" in kinds:
+    if any(isinstance(a, GenAtom) for a in atoms):
         return "direct"
-    if "_DelimAtom" in kinds:
+    if any(isinstance(a, DelimAtom) for a in atoms):
         return "rowwise"
     return "product-closed-form"
 
@@ -800,23 +528,23 @@ def density_at(
         raise ValueError(f"density_at requires s > 1, got {s}")
     if not eps > 0.0:
         raise ValueError(f"density_at requires eps > 0, got {eps}")
-    from .sets import normalize  # local import keeps module load order simple
 
     z = zeta(s)
     z2 = z * z
-    atoms = _compile(normalize(e))
+    atoms = compile_set(normalize(e))
     if not atoms:
         return SeriesEval(s, 0.0, 0.0, 0, "product-closed-form")
-    eps_abs = eps * z2 / len(atoms)
+    # each distinct atom is evaluated once and weighs |coef| in the error
+    eps_abs = eps * z2 / sum(abs(c) for c in atoms.values())
     values: list[float] = []
     errs: list[float] = []
     terms = 0
     met_all = True
-    for sign, atom in atoms:
+    for atom, coef in atoms.items():
         budget_left = max(term_budget - terms, 0)
         v, err, t, met = _eval_atom(atom, s, eps_abs, budget_left)
-        values.append(sign * v)
-        errs.append(err)
+        values.append(coef * v)
+        errs.append(abs(coef) * err)
         terms += t
         met_all = met_all and met
     if not met_all and not loosen:

@@ -1,8 +1,11 @@
 """Closed-form density rules and their algebraic identities."""
 
+import math
 from fractions import Fraction
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gaussdens import (
     Complement,
@@ -33,6 +36,27 @@ from gaussdens import (
     exact_density_1d,
 )
 from gaussdens.corpus import CORPUS
+
+
+# union_i translate(lattice(p_i, q_i), (6i, 6i)), (p, q) cycling: 2^k - 1 raw
+# atoms that merge to 11, density 4/9 for every k >= 4
+_CYCLE = ((2, 3), (3, 2), (2, 2), (3, 3))
+
+
+def cycling_union(k):
+    return reduce(Union, [Translate(Lattice(*_CYCLE[i % 4]), (6 * i, 6 * i))
+                          for i in range(k)])
+
+
+# ten lattices with distinct prime moduli: 1023 distinct atoms, above the cap
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+PRIME_UNION = reduce(Union, [Lattice(p, q) for p, q in zip(_PRIMES, _PRIMES[1:] + _PRIMES[:1])])
+
+
+# no atom rule meets a finite row with a band: one generic atom, whose finite
+# axis section gives density 0
+FINITE_ROW_BAND = Intersection(Product(FiniteSet((3,)), FullP()),
+                               Delimited(Constant(1), Power(1, 2)))
 
 
 def frac(e):
@@ -104,6 +128,14 @@ def test_1d_unknown_is_a_value():
         (Delimited(Power(1, 1), Exponential(1, 2)), Fraction(1, 2)),
         (Delimited(Exponential(1, 2), Exponential(1, 3)), 0),
         (Delimited(Power(2, Fraction(1, 2)), Power(3, 2)), Fraction(1, 3)),
+        (Union(Union(Translate(Lattice(2, 3), (0, 0)), Translate(Lattice(3, 2), (6, 6))),
+               Translate(Lattice(2, 2), (12, 12))), Fraction(5, 12)),
+        (cycling_union(9), Fraction(4, 9)),
+        (cycling_union(10), Fraction(4, 9)),
+        (cycling_union(12), Fraction(4, 9)),
+        (FINITE_ROW_BAND, 0),
+        (Intersection(Union(FINITE_ROW_BAND, Lattice(2, 2)), UpperQuadrant(5, 5)),
+         Fraction(1, 4)),
     ],
 )
 def test_exact_density_values(expr, expected):
@@ -124,6 +156,12 @@ def test_trace_nonempty_whenever_known():
 
 def test_unknown_when_no_rule_applies():
     v = exact_density(Intersection(Delimited(Constant(1), Power(1, 2)), Lattice(2, 2)))
+    assert v.kind == "unknown"
+    assert v.trace == ()
+
+
+def test_unknown_above_the_atom_cap():
+    v = exact_density(PRIME_UNION)
     assert v.kind == "unknown"
     assert v.trace == ()
 
@@ -225,6 +263,54 @@ def test_alpha_beta_product_one_identity():
     for beta in (2, 3, 4):
         v = frac(Delimited(Power(1, Fraction(1, beta)), Power(1, beta)))
         assert v == Fraction(beta - 1, beta + 1)
+
+
+_shifted_lattices = st.recursive(
+    st.builds(lambda p, q, off: Translate(Lattice(p, q), off),
+              st.integers(1, 4), st.integers(1, 4),
+              st.tuples(st.integers(0, 3), st.integers(0, 3))),
+    lambda inner: st.one_of(
+        st.builds(Union, inner, inner),
+        st.builds(Intersection, inner, inner),
+        st.builds(Difference, inner, inner),
+        st.builds(Complement, inner),
+        st.builds(Translate, inner, st.tuples(st.integers(0, 3), st.integers(0, 3))),
+        st.builds(lambda f, e: Dilate(f, e),
+                  st.tuples(st.integers(1, 2), st.integers(1, 2)), inner),
+    ),
+    max_leaves=4,
+)
+
+
+def _period_and_start(e):
+    """Per-axis period of membership, and a corner beyond which it holds."""
+    if isinstance(e, Lattice):
+        return (e.p, e.q), (0, 0)
+    if isinstance(e, Complement):
+        return _period_and_start(e.inner)
+    if isinstance(e, Translate):
+        period, (m0, n0) = _period_and_start(e.inner)
+        return period, (m0 + e.offset[0], n0 + e.offset[1])
+    if isinstance(e, Dilate):
+        (pm, pn), (m0, n0) = _period_and_start(e.inner)
+        a, b = e.factor
+        return (a * pm, b * pn), (a * m0, b * n0)
+    (pa, sa), (pb, sb) = _period_and_start(e.left), _period_and_start(e.right)
+    return ((math.lcm(pa[0], pb[0]), math.lcm(pa[1], pb[1])),
+            (max(sa[0], sb[0]), max(sa[1], sb[1])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_shifted_lattices)
+def test_exact_density_is_the_residue_share_of_one_period(e):
+    # at most four lattices stay far below the atom cap, so the value is
+    # always known
+    v = exact_density(e)
+    assert v.kind == "rational"
+    (pm, pn), (m0, n0) = _period_and_start(e)
+    members = sum(contains(e, (m0 + i, n0 + j))
+                  for i in range(1, pm + 1) for j in range(1, pn + 1))
+    assert v.rational == Fraction(members, pm * pn)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -245,6 +246,19 @@ def test_density_at_methods():
     assert density_at(Delimited(Constant(1), Power(1, 2)), 1.5, 1e-6).method == "rowwise"
     gen = Intersection(Delimited(Constant(1), Power(1, 2)), Lattice(2, 2))
     assert density_at(gen, 2.0, 1e-2).method == "direct"
+
+
+def test_density_at_atom_cap():
+    # the cycling union's 1023 raw atoms merge to 11 products
+    cycle = ((2, 3), (3, 2), (2, 2), (3, 3))
+    k10 = reduce(Union, [Translate(Lattice(*cycle[i % 4]), (6 * i, 6 * i)) for i in range(10)])
+    ev = density_at(k10, 1.0625, 1e-6)
+    assert ev.method == "product-closed-form"
+    assert ev.tail_bound <= 1e-6
+    # 1023 distinct atoms stay above the cap: one generic atom
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+    prime_union = reduce(Union, [Lattice(p, q) for p, q in zip(primes, primes[1:] + primes[:1])])
+    assert density_at(prime_union, 2.0, 1e-2).method == "direct"
 
 
 def test_density_at_budget_exceeded():
