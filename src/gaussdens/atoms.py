@@ -21,7 +21,8 @@ Each node is built from its compiled children,
 where the product intersects atoms pairwise (CRT on progressions, filtering
 of finite lists, and quadrant cuts on bands and generic atoms) and merges
 equal atoms.  When a pair of atoms has no intersection rule, the whole
-product becomes one ``GenAtom`` of the intersection.  When any node's merged map holds more than ``ATOM_CAP``
+product becomes one ``GenAtom`` of the intersection.  When any node's merged
+map, or a product while it is being built, holds more than ``ATOM_CAP``
 atoms, the whole expression compiles to one ``GenAtom``.
 """
 
@@ -68,7 +69,8 @@ __all__ = [
     "compile_set",
 ]
 
-ATOM_CAP = 512
+# a union of ten lattices in general position has 2^10 - 1 distinct atoms
+ATOM_CAP = 1024
 
 
 @dataclass(frozen=True)
@@ -156,13 +158,16 @@ def _combine(*parts: tuple[int, dict]) -> dict:
 
 
 def _product(ca: dict, cb: dict, meet) -> dict:
-    """c(A)c(B): pairwise intersections by meet (None when empty)."""
+    """c(A)c(B): pairwise intersections by meet (None when empty); stops as
+    soon as the map passes the cap rather than finishing len(ca)*len(cb) meets."""
     out: dict = {}
     for a, x in ca.items():
         for b, y in cb.items():
             ab = meet(a, b)
             if ab is not None:
                 out[ab] = out.get(ab, 0) + x * y
+                if len(out) > ATOM_CAP:
+                    raise _CapExceeded
     return _canonical(out)
 
 

@@ -20,7 +20,8 @@ Atom kinds:
 * product atoms: a progression (or finite list) on each axis; the double sum
   factors into two one-dimensional Dirichlet sums, each evaluated by direct
   summation plus an Euler-Maclaurin tail, so the error is at the rounding
-  level.  A lattice M_(p,q) reduces to (pq)^(-s) this way.
+  level.  A lattice M_(p,q) reduces to (pq)^(-s) this way.  Each distinct
+  axis is summed once per s.
 * delimited atoms: rows m carry the inner range [ceil f(m), floor g(m)]
   (possibly affinely shifted and cut below); rows up to a cutoff M are summed
   directly with tabulated/EM inner range sums, and the tail over m > M is
@@ -70,6 +71,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -226,6 +228,17 @@ def _dsum_1d(a, s: float) -> tuple[float, float, int]:
     tail = d ** (-s) * float(_em_tail(j_cut + c, s))
     err = d ** (-s) * _em_tail_err(j_cut + c, s) + 1e-15 * (head + tail)
     return head + tail, err, j_cut + 8
+
+
+def _axis_sums(atoms, s: float) -> dict:
+    """_dsum_1d of each distinct axis of the product atoms among atoms."""
+    sums: dict = {}
+    for a in atoms:
+        if isinstance(a, ProdAtom):
+            for x in (a.h, a.v):
+                if x not in sums:
+                    sums[x] = _dsum_1d(x, s)
+    return sums
 
 
 _CAP = 2.0 ** 62
@@ -462,10 +475,10 @@ def _eval_gen_atom(atom: GenAtom, s: float, eps_abs: float,
     return value, bound(n), n * n, met
 
 
-def _eval_atom(a, s: float, eps_abs: float, budget: int):
+def _eval_atom(a, s: float, eps_abs: float, budget: int, axis_sums: dict):
     if isinstance(a, ProdAtom):
-        vh, eh, th = _dsum_1d(a.h, s)
-        vv, ev, tv = _dsum_1d(a.v, s)
+        vh, eh, th = axis_sums[a.h]
+        vv, ev, tv = axis_sums[a.v]
         return vh * vv, vh * ev + vv * eh + eh * ev, th + tv, True
     if isinstance(a, FinAtom):
         vals = [(float(m) * float(n)) ** -s for m, n in a.pairs]
@@ -520,10 +533,14 @@ def density_at(
     *,
     term_budget: int = DEFAULT_TERM_BUDGET,
     loosen: bool = False,
+    atoms: Optional[dict] = None,
 ) -> SeriesEval:
     """ratio(s) with tail_bound <= eps, or BudgetExceeded if that needs more
     than term_budget terms (with loosen=True the best value within budget is
-    returned instead, its true tail bound reported honestly)."""
+    returned instead, its true tail bound reported honestly).
+
+    ``atoms``, if given, must be ``compile_set(normalize(e))``; a caller that
+    evaluates e at several s compiles it once."""
     if not s > 1.0:
         raise ValueError(f"density_at requires s > 1, got {s}")
     if not eps > 0.0:
@@ -531,7 +548,8 @@ def density_at(
 
     z = zeta(s)
     z2 = z * z
-    atoms = compile_set(normalize(e))
+    if atoms is None:
+        atoms = compile_set(normalize(e))
     if not atoms:
         return SeriesEval(s, 0.0, 0.0, 0, "product-closed-form")
     # each distinct atom is evaluated once and weighs |coef| in the error
@@ -540,9 +558,10 @@ def density_at(
     errs: list[float] = []
     terms = 0
     met_all = True
+    axis_sums = _axis_sums(atoms, s)   # product atoms share axes
     for atom, coef in atoms.items():
         budget_left = max(term_budget - terms, 0)
-        v, err, t, met = _eval_atom(atom, s, eps_abs, budget_left)
+        v, err, t, met = _eval_atom(atom, s, eps_abs, budget_left, axis_sums)
         values.append(coef * v)
         errs.append(abs(coef) * err)
         terms += t

@@ -35,6 +35,7 @@ from gaussdens import (
     exact_density,
     exact_density_1d,
 )
+from gaussdens.atoms import ATOM_CAP, _CapExceeded, _product
 from gaussdens.corpus import CORPUS
 
 
@@ -48,9 +49,13 @@ def cycling_union(k):
                           for i in range(k)])
 
 
-# ten lattices with distinct prime moduli: 1023 distinct atoms, above the cap
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
-PRIME_UNION = reduce(Union, [Lattice(p, q) for p, q in zip(_PRIMES, _PRIMES[1:] + _PRIMES[:1])])
+def prime_union(primes):
+    """union_i lattice(p_i, p_(i+1)), indices cyclic: 2^k - 1 distinct atoms
+    for k distinct primes, density 1 - prod_i (1 - 1/(p_i p_(i+1)))."""
+    return reduce(Union, [Lattice(p, q) for p, q in zip(primes, primes[1:] + primes[:1])])
+
+
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 
 # no atom rule meets a finite row with a band: one generic atom, whose finite
@@ -133,6 +138,10 @@ def test_1d_unknown_is_a_value():
         (cycling_union(9), Fraction(4, 9)),
         (cycling_union(10), Fraction(4, 9)),
         (cycling_union(12), Fraction(4, 9)),
+        # 1023 distinct atoms, within the cap
+        (prime_union(_PRIMES[:10]),
+         1 - math.prod(1 - Fraction(1, p * q)
+                       for p, q in zip(_PRIMES[:10], _PRIMES[1:10] + (2,)))),
         (FINITE_ROW_BAND, 0),
         (Intersection(Union(FINITE_ROW_BAND, Lattice(2, 2)), UpperQuadrant(5, 5)),
          Fraction(1, 4)),
@@ -161,9 +170,24 @@ def test_unknown_when_no_rule_applies():
 
 
 def test_unknown_above_the_atom_cap():
-    v = exact_density(PRIME_UNION)
+    # eleven primes: 2047 distinct atoms
+    v = exact_density(prime_union(_PRIMES))
     assert v.kind == "unknown"
     assert v.trace == ()
+
+
+def test_product_stops_at_the_atom_cap():
+    # 2000 x 2000 distinct pairs: the product stops one meet past the cap
+    meets = []
+
+    def meet(a, b):
+        meets.append((a, b))
+        return a, b
+
+    big = dict.fromkeys(range(2000), 1)
+    with pytest.raises(_CapExceeded):
+        _product(big, big, meet)
+    assert len(meets) == ATOM_CAP + 1
 
 
 def test_exact_matches_corpus_table():

@@ -255,10 +255,17 @@ def test_density_at_atom_cap():
     ev = density_at(k10, 1.0625, 1e-6)
     assert ev.method == "product-closed-form"
     assert ev.tail_bound <= 1e-6
-    # 1023 distinct atoms stay above the cap: one generic atom
-    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
-    prime_union = reduce(Union, [Lattice(p, q) for p, q in zip(primes, primes[1:] + primes[:1])])
-    assert density_at(prime_union, 2.0, 1e-2).method == "direct"
+    # ten distinct prime lattices: 1023 distinct atoms, within the cap
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+    def prime_union(ps):
+        return reduce(Union, [Lattice(p, q) for p, q in zip(ps, ps[1:] + ps[:1])])
+
+    ev = density_at(prime_union(primes[:10]), 1.0625, 1e-6)
+    assert ev.method == "product-closed-form"
+    assert ev.tail_bound <= 1e-6
+    # eleven: 2047 distinct atoms, above the cap: one generic atom
+    assert density_at(prime_union(primes), 2.0, 1e-2).method == "direct"
 
 
 def test_density_at_budget_exceeded():
