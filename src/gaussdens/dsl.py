@@ -74,12 +74,16 @@ class _Tok:
 
 
 _PUNCT = set("(){},/")
+# every nested form opens a parenthesis; deeper input would exhaust the
+# recursion of the parser and of the engines that walk the expression
+MAX_NESTING = 200
 
 
 def _tokenize(text: str) -> list[_Tok]:
     toks: list[_Tok] = []
     line, col = 1, 1
     i = 0
+    depth = 0
     while i < len(text):
         ch = text[i]
         if ch == "\n":
@@ -92,6 +96,9 @@ def _tokenize(text: str) -> list[_Tok]:
             i += 1
             continue
         if ch in _PUNCT:
+            depth += (ch == "(") - (ch == ")")
+            if depth > MAX_NESTING:
+                raise ParseError(f"nesting deeper than {MAX_NESTING} levels", line, col)
             toks.append(_Tok("PUNCT", ch, line, col))
             i += 1
             col += 1

@@ -56,14 +56,18 @@ def schedule(k0: int = 0, k1: int = 6) -> tuple[float, ...]:
     return tuple(1.0 + 0.5 * 2.0 ** (-k) for k in range(k0, k1 + 1))
 
 
+# a converged report needs fit_residual <= RESIDUAL_FACTOR * per_point_eps
+# and |last point - extrapolated| <= DRIFT_TOL
+RESIDUAL_FACTOR = 10.0
+DRIFT_TOL = 0.05
+
+
 @dataclass(frozen=True)
 class EstimatorConfig:
     s_schedule: tuple[float, ...] = field(default_factory=schedule)
     per_point_eps: float = 1e-6
     fit_degree: int = 2
     term_budget: int = DEFAULT_TERM_BUDGET
-    residual_factor: float = 10.0   # converged needs fit_residual <= factor * eps
-    drift_tol: float = 0.05        # and |last point - extrapolated| <= this
     workers: int = 1
 
     def __post_init__(self):
@@ -161,8 +165,8 @@ def estimate_density(
     budget_limited = any(p.tail_bound > cfg.per_point_eps * 1.0001 for p in points)
     converged = (
         not budget_limited
-        and fit_residual <= cfg.residual_factor * cfg.per_point_eps
-        and drift <= cfg.drift_tol
+        and fit_residual <= RESIDUAL_FACTOR * cfg.per_point_eps
+        and drift <= DRIFT_TOL
     )
     return EstimateReport(
         points=points,

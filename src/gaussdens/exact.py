@@ -15,6 +15,11 @@ so the atom rules are all that is needed:
   whose merged multiset at some node exceeded the atom cap) has density 0
   when it has a provably finite axis section, and Unknown otherwise.
 
+A one-dimensional set compiles the same way (``atoms._compile_1d``) into
+progressions and finite lists; its density is the sum of coefficient over
+step of the progressions, and an axis section is finite exactly when that
+density is 0.  So every set-algebra rule lives in ``gaussdens.atoms``.
+
 One Unknown atom makes the whole density Unknown -- never a guess.  Every
 known value carries a trace: ``normalize`` when normalisation changed the
 expression, the algebra rules of its nodes, then the rules of its atoms.
@@ -27,19 +32,25 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional
 
-from .atoms import DelimAtom, FinAtom, GenAtom, ProdAtom, Prog, compile_set
+from .atoms import (
+    DelimAtom,
+    Fin,
+    FinAtom,
+    GenAtom,
+    ProdAtom,
+    Prog,
+    _CapExceeded,
+    _compile_1d,
+    compile_set,
+)
 from .sets import (
-    BoundFn,
     Complement,
-    Constant,
     Delimited,
     Difference,
     Dilate,
     Empty,
     Exponential,
-    FiniteSet,
     FinitePairs,
-    FullP,
     FullQuadrant,
     GaussSetExpr,
     IntComplement,
@@ -48,13 +59,12 @@ from .sets import (
     IntUnion,
     Intersection,
     Lattice,
-    Multiples,
     Product,
     Translate,
     Union,
     UpperQuadrant,
-    int_contains,
     normalize,
+    power_form,
 )
 
 __all__ = [
@@ -145,88 +155,33 @@ def _merge_traces(*parts) -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# One-dimensional density
+# One-dimensional density and axis sections
 # ---------------------------------------------------------------------------
 
-def _intersect_1d(a: IntSetExpr, b: IntSetExpr) -> Optional[IntSetExpr]:
-    """Structural intersection simplification; None when nothing applies."""
-    if isinstance(a, FullP):
-        return b
-    if isinstance(b, FullP):
-        return a
-    if isinstance(a, FiniteSet):
-        return FiniteSet(tuple(m for m in a.elements if int_contains(b, m)))
-    if isinstance(b, FiniteSet):
-        return FiniteSet(tuple(m for m in b.elements if int_contains(a, m)))
-    if isinstance(a, Multiples) and isinstance(b, Multiples):
-        return Multiples(math.lcm(a.modulus, b.modulus))
-    if isinstance(a, IntComplement) and a.inner == b:
-        return FiniteSet(())
-    if isinstance(b, IntComplement) and b.inner == a:
-        return FiniteSet(())
-    return None
+_ATOM_RULES_1D = {Prog: "multiples-rule", Fin: "finite-null"}
 
 
 def exact_density_1d(e: IntSetExpr) -> DensityValue:
-    """Dirichlet density of a one-dimensional set, when a rule applies."""
-    if isinstance(e, FullP):
-        return _known_fraction(Fraction(1), "full-line")
-    if isinstance(e, FiniteSet):
-        return _known_fraction(Fraction(0), "finite-null")
-    if isinstance(e, Multiples):
-        return _known_fraction(Fraction(1, e.modulus), "multiples-rule")
-    if isinstance(e, IntComplement):
-        inner = exact_density_1d(e.inner)
-        if inner.kind == "rational":
-            return _known_fraction(1 - inner.rational, "complement-rule", inner.trace)
+    """Dirichlet density of a one-dimensional set: the sum of coef/step over
+    the progressions it compiles to (finite lists weigh 0); Unknown only when
+    the compiled multiset exceeds the atom cap."""
+    try:
+        atoms = _compile_1d(e)
+    except _CapExceeded:
         return DensityValue.unknown()
-    if isinstance(e, IntIntersection):
-        merged = _intersect_1d(e.left, e.right)
-        if merged is not None:
-            sub = exact_density_1d(merged)
-            if sub.kind == "rational":
-                return _known_fraction(sub.rational, "lcm-intersection", sub.trace)
-        return DensityValue.unknown()
-    if isinstance(e, IntUnion):
-        da = exact_density_1d(e.left)
-        db = exact_density_1d(e.right)
-        merged = _intersect_1d(e.left, e.right)
-        if merged is None or da.kind != "rational" or db.kind != "rational":
-            return DensityValue.unknown()
-        dab = exact_density_1d(merged)
-        if dab.kind != "rational":
-            return DensityValue.unknown()
-        val = da.rational + db.rational - dab.rational
-        return _known_fraction(val, "inclusion-exclusion", da.trace, db.trace, dab.trace)
-    return DensityValue.unknown()
+    density = sum((Fraction(c, a.step) for a, c in atoms.items() if isinstance(a, Prog)),
+                  Fraction(0))
+    rules = [_ATOM_RULES_1D[type(a)] for a in atoms] or ["finite-null"]
+    return _known_fraction(density, _node_rules(e), *dict.fromkeys(rules))
 
-
-# ---------------------------------------------------------------------------
-# Axis sections
-# ---------------------------------------------------------------------------
 
 def _axis_1d(e: IntSetExpr) -> str:
-    if isinstance(e, (FullP, Multiples)):
-        return "infinite"
-    if isinstance(e, FiniteSet):
-        return "finite"
-    if isinstance(e, IntUnion):
-        a, b = _axis_1d(e.left), _axis_1d(e.right)
-        if "infinite" in (a, b):
-            return "infinite"
-        if a == b == "finite":
-            return "finite"
+    # past its finite lists the compiled set is periodic, so density 0 means
+    # it is eventually empty
+    d = exact_density_1d(e)
+    if not d.is_known:
         return "unknown"
-    if isinstance(e, IntIntersection):
-        a, b = _axis_1d(e.left), _axis_1d(e.right)
-        if "finite" in (a, b):
-            return "finite"
-        return "unknown"
-    if isinstance(e, IntComplement):
-        if _axis_1d(e.inner) == "finite":
-            return "infinite"  # cofinite set
-        return "unknown"
-    return "unknown"
+    return "finite" if d.rational == 0 else "infinite"
 
 
 def axis_section_finite(e: GaussSetExpr) -> tuple[str, str]:
@@ -283,23 +238,19 @@ def axis_section_finite(e: GaussSetExpr) -> tuple[str, str]:
 def _delimited_density(atom: DelimAtom) -> DensityValue:
     """Density of the band before its affine map; lower cuts do not change it."""
     lower, upper = atom.lower, atom.upper
-
-    def power_exponent(b: BoundFn) -> Fraction:
-        return Fraction(0) if isinstance(b, Constant) else b.alpha
-
     if isinstance(lower, Exponential):
         # thins faster than any power band; the power value 1/(1+alpha)
         # vanishes as alpha grows without bound
         return _known_fraction(Fraction(0), "exp-lower-null")
 
-    alpha = power_exponent(lower)
+    _, alpha = power_form(lower)
     if isinstance(upper, Exponential):
         if alpha == 0:
             return _known_fraction(Fraction(1), "exp-upper-full")
         value = Fraction(1) / (1 + alpha)
         return _rational_or_real(value, alpha, None, ("power-lower-exp-upper",))
 
-    beta = power_exponent(upper)
+    _, beta = power_form(upper)
     value = Fraction(1) / (1 + alpha) - Fraction(1) / (1 + beta)
     return _rational_or_real(value, alpha, beta, ("power-bounds",))
 

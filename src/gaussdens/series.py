@@ -82,8 +82,11 @@ from .sets import (
     Exponential,
     GaussSetExpr,
     Power,
+    _HUGE,
+    _LOG_HUGE,
     grid_mask,
     normalize,
+    power_form,
 )
 
 __all__ = [
@@ -241,10 +244,6 @@ def _axis_sums(atoms, s: float) -> dict:
     return sums
 
 
-_CAP = 2.0 ** 62
-_LOG_CAP = math.log(_CAP)
-
-
 def _bound_floats(b: BoundFn, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised bound values (snapped, capped at 2^62) and their true logs.
 
@@ -257,14 +256,14 @@ def _bound_floats(b: BoundFn, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.full(u.shape, k), np.full(u.shape, math.log(k))
     if isinstance(b, Power):
         logs = math.log(float(b.c)) + float(b.alpha) * np.log(u)
-        vals = np.exp(np.minimum(logs, _LOG_CAP))
+        vals = np.exp(np.minimum(logs, _LOG_HUGE))
         if b.exact_int(1) is not None:
             exact = float(b.c) * u ** float(b.alpha)
-            vals = np.where(exact < _CAP, exact, vals)
+            vals = np.where(exact < _HUGE, exact, vals)
     else:
         assert isinstance(b, Exponential)
         logs = math.log(float(b.c)) + u * math.log(float(b.a))
-        vals = np.exp(np.minimum(logs, _LOG_CAP))
+        vals = np.exp(np.minimum(logs, _LOG_HUGE))
     r = np.round(vals)
     snapped = np.where(np.abs(vals - r) <= 1e-9, r, vals)
     return snapped, logs
@@ -299,15 +298,9 @@ def _tail_at_cut(x: np.ndarray, logx: np.ndarray, ceil_side: bool, s: float,
     return out
 
 
-def _power_params(b: BoundFn) -> tuple[float, float]:
-    if isinstance(b, Constant):
-        return float(b.k), 0.0
-    assert isinstance(b, Power)
-    return float(b.c), float(b.alpha)
-
-
 def _const_like(b: BoundFn) -> bool:
-    return isinstance(b, Constant) or (isinstance(b, Power) and b.alpha == 0)
+    form = power_form(b)
+    return form is not None and form[1] == 0
 
 
 def _crossover_u(b: BoundFn, target: float) -> int:
@@ -352,7 +345,7 @@ def _delim_rem_terms(side: BoundFn, sign: float, atom: DelimAtom, s: float,
         geo = lead * (M + 1.0) ** (-s) * rho ** (M + 1) / max(1.0 - rho, 1e-300)
         return 0.0, scale * geo
 
-    c, al = _power_params(side)
+    c, al = map(float, power_form(side))
     h = lambda p: float(_em_tail(M + 1.0, p))
     # value terms: leading, outer linear correction, inner shift correction,
     # half step, first Bernoulli step

@@ -364,6 +364,16 @@ class Exponential(BoundFn):
         return Exponential(c, self.a)
 
 
+def power_form(b: BoundFn) -> Optional[tuple[Fraction, Fraction]]:
+    """(c, alpha) with b(m) = c * m^alpha, a Constant k being (k, 0); None for
+    an Exponential."""
+    if isinstance(b, Constant):
+        return b.k, Fraction(0)
+    if isinstance(b, Power):
+        return b.c, b.alpha
+    return None
+
+
 def _bound_ge_one(f: BoundFn) -> bool:
     """Does f(m) >= 1 hold for every integer m >= 1?
 
@@ -388,23 +398,15 @@ def _dominates(upper: BoundFn, lower: BoundFn) -> bool:
     lo_kind = type(lower)
     up_kind = type(upper)
 
-    def as_power(b: BoundFn) -> tuple[Fraction, Fraction]:
-        if isinstance(b, Constant):
-            return b.k, Fraction(0)
-        assert isinstance(b, Power)
-        return b.c, b.alpha
-
     if up_kind in (Constant, Power) and lo_kind in (Constant, Power):
-        c_up, a_up = as_power(upper)
-        c_lo, a_lo = as_power(lower)
-        if a_up > a_lo:
-            return c_up >= c_lo  # ratio increasing, minimum at m = 1
-        if a_up == a_lo:
-            return c_up >= c_lo
-        return False  # upper grows strictly slower: fails for large m
+        c_up, a_up = power_form(upper)
+        c_lo, a_lo = power_form(lower)
+        if a_up < a_lo:
+            return False  # upper grows strictly slower: fails for large m
+        return c_up >= c_lo  # ratio nondecreasing, minimum at m = 1
 
     if up_kind is Exponential and lo_kind in (Constant, Power):
-        c_lo, a_lo = as_power(lower)
+        _, a_lo = power_form(lower)
         # ratio upper/lower decreases until m* = alpha / ln(a), then increases
         m_star = float(a_lo) / math.log(float(upper.a))
         scan_to = int(math.ceil(m_star)) + 2

@@ -17,7 +17,7 @@ from gaussdens import (
 )
 from gaussdens.cli import main
 from gaussdens.corpus import CORPUS
-from gaussdens.dsl import ParseError
+from gaussdens.dsl import MAX_NESTING, ParseError
 from gaussdens.sets import grid_mask
 
 
@@ -110,6 +110,16 @@ def test_cli_parse_error_exit_code(capsys):
     assert main(["exact", "lattice(2,)"]) == 2
     assert main(["exact", "delim(pow(1,2), pow(1,0.5))"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_nesting_limit_is_a_parse_error(capsys):
+    deep = "compl(" * 1500 + "P2" + ")" * 1500
+    with pytest.raises(ParseError):
+        parse_expression(deep)
+    assert main(["exact", deep]) == 2
+    assert "nesting" in capsys.readouterr().err
+    ok = "compl(" * MAX_NESTING + "P2" + ")" * MAX_NESTING
+    assert main(["exact", ok]) == 0
 
 
 def test_cli_estimate_and_compare(capsys):

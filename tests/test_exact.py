@@ -37,6 +37,7 @@ from gaussdens import (
 )
 from gaussdens.atoms import ATOM_CAP, _CapExceeded, _product
 from gaussdens.corpus import CORPUS
+from gaussdens.sets import int_contains
 
 
 # union_i translate(lattice(p_i, q_i), (6i, 6i)), (p, q) cycling: 2^k - 1 raw
@@ -95,11 +96,46 @@ def test_1d_union_inclusion_exclusion():
     assert got.rational == Fraction(1, 2) + Fraction(1, 3) - Fraction(1, 6)
     got = exact_density_1d(IntUnion(Multiples(2), FiniteSet((3, 5))))
     assert got.rational == Fraction(1, 2)
+    # odd numbers or multiples of 3: 1/2 + 1/3 - 1/6
+    got = exact_density_1d(IntUnion(IntComplement(Multiples(2)), Multiples(3)))
+    assert got.rational == Fraction(2, 3)
 
 
 def test_1d_unknown_is_a_value():
-    v = exact_density_1d(IntUnion(IntComplement(Multiples(2)), Multiples(3)))
+    # eleven primes: 2047 distinct progressions, above the atom cap
+    v = exact_density_1d(reduce(IntUnion, [Multiples(p) for p in _PRIMES]))
     assert v.kind == "unknown" and not v.is_known
+
+
+_int_sets = st.recursive(
+    st.one_of(
+        st.just(FullP()),
+        st.builds(Multiples, st.integers(1, 4)),
+        st.builds(lambda xs: FiniteSet(tuple(xs)), st.lists(st.integers(1, 9), max_size=3)),
+    ),
+    lambda inner: st.one_of(
+        st.builds(IntUnion, inner, inner),
+        st.builds(IntIntersection, inner, inner),
+        st.builds(IntComplement, inner),
+    ),
+    max_leaves=5,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_int_sets, _int_sets)
+def test_1d_density_is_the_residue_share_and_restricts_products(a, b):
+    # beyond the finite elements (all <= 9) membership has period 12, so a
+    # set with no member in one such period is finite
+    shares = []
+    for e in (a, b):
+        v = exact_density_1d(e)
+        assert v.kind == "rational"
+        assert v.rational == Fraction(sum(int_contains(e, 9 + i) for i in range(1, 13)), 12)
+        shares.append(v.rational)
+    assert frac(Product(a, b)) == shares[0] * shares[1]
+    assert axis_section_finite(Product(a, b)) == tuple(
+        "finite" if d == 0 else "infinite" for d in shares)
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +393,8 @@ def test_exact_density_is_the_residue_share_of_one_period(e):
          ("finite", "unknown")),
         (Translate(FinitePairs(((1, 1),)), (3, 3)), ("finite", "finite")),
         (Dilate((2, 2), Product(FullP(), FiniteSet((1, 2)))), ("infinite", "finite")),
+        (Product(IntIntersection(Multiples(2), Multiples(3)), FiniteSet((1,))),
+         ("infinite", "finite")),
     ],
 )
 def test_axis_section_analysis(expr, expected):
