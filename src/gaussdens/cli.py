@@ -54,6 +54,18 @@ def _parse_schedule(text: str) -> tuple[int, int]:
     return (k0, k1)
 
 
+def _int_at_least(minimum: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gaussdens",
@@ -68,11 +80,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="k0..k6", help="s-schedule range: s = 1 + 0.5*2^-k")
         p.add_argument("--eps", type=float, default=1e-6,
                        help="per-point tail target (default 1e-6)")
-        p.add_argument("--budget", type=int, default=10 ** 8,
+        p.add_argument("--budget", type=_int_at_least(1), default=10 ** 8,
                        help="term budget per evaluation (default 1e8)")
-        p.add_argument("--degree", type=int, default=2,
+        p.add_argument("--degree", type=_int_at_least(1), default=2,
                        help="polynomial degree of the extrapolation fit")
-        p.add_argument("--workers", type=int, default=1,
+        p.add_argument("--workers", type=_int_at_least(1), default=1,
                        help="parallel evaluations (results are identical)")
         p.add_argument("--strict", action="store_true",
                        help="exit 3 when the estimate does not converge")
@@ -86,10 +98,10 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(sub.add_parser("compare", help="exact vs estimate"))
     p_sweep = sub.add_parser("sweep", help="dense s-sweep table")
     add_common(p_sweep)
-    p_sweep.add_argument("--points", type=int, default=25, help="sweep size")
+    p_sweep.add_argument("--points", type=_int_at_least(2), default=25, help="sweep size")
     p_oracle = sub.add_parser("oracle", help="brute-force cross-checks")
     add_common(p_oracle)
-    p_oracle.add_argument("--N", type=int, default=200, help="truncation box side")
+    p_oracle.add_argument("--N", type=_int_at_least(1), default=200, help="truncation box side")
     p_check = sub.add_parser("check", help="corpus invariant suite")
     add_common(p_check, with_expr=False)
     return parser
@@ -236,10 +248,9 @@ def _cmd_compare(args) -> int:
 def _cmd_sweep(args) -> int:
     expr = parse_expression(args.expression)
     k0, k1 = args.schedule
-    count = max(args.points, 2)
     rows = []
-    for j in range(count):
-        k = k0 + (k1 - k0) * j / (count - 1)
+    for j in range(args.points):
+        k = k0 + (k1 - k0) * j / (args.points - 1)
         s = 1.0 + 0.5 * 2.0 ** (-k)
         ev = density_at(expr, s, args.eps, term_budget=args.budget, loosen=True)
         rows.append(ev.to_row())

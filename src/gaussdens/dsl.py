@@ -1,21 +1,10 @@
 """Textual expression language for quadrant sets.
 
-Grammar (whitespace-insensitive)::
-
-    expr   := P2 | empty
-            | lattice(INT, INT)
-            | prod(ints, ints)
-            | finite{(INT, INT), ...}
-            | translate(expr, INT, INT)
-            | dilate(INT, INT, expr)
-            | union(expr, expr) | inter(expr, expr)
-            | compl(expr) | diff(expr, expr)
-            | upper(INT, INT)
-            | delim(bound, bound)
-    bound  := const(NUM) | pow(NUM, NUM) | exp(NUM, NUM)
-    ints   := P | mult(INT) | set{INT, ...}
-            | union(ints, ints) | inter(ints, ints) | compl(ints)
-    NUM    := INT | INT/INT | DECIMAL        # rationals preferred internally
+Every form is ``NAME(arg, ...)``, a bare ``NAME`` or a brace list
+``NAME{item, ...}``; the tables ``_GRAMMARS`` below declare each form once,
+and both the parser and ``to_dsl`` read them.  Whitespace is insignificant.
+A number (``NUM``) is an integer, a rational ``INT/INT`` or a decimal, and is
+kept as an exact ``Fraction``.  The README lists the grammar.
 
 ``delim(f, g)`` takes the lower bound first; construction rejects pairs that
 violate ``g(m) >= f(m) >= 1``.  Parse errors carry line/column positions.
@@ -23,11 +12,11 @@ violate ``g(m) >= f(m) >= 1``.  Parse errors carry line/column positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from typing import NamedTuple
 
 from .sets import (
-    BoundFn,
     Complement,
     Constant,
     Delimited,
@@ -42,7 +31,6 @@ from .sets import (
     GaussSetExpr,
     IntComplement,
     IntIntersection,
-    IntSetExpr,
     IntUnion,
     Intersection,
     Lattice,
@@ -65,8 +53,7 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str   # NAME | INT | DECIMAL | PUNCT | END
     text: str
     line: int
@@ -86,46 +73,101 @@ def _tokenize(text: str) -> list[_Tok]:
     depth = 0
     while i < len(text):
         ch = text[i]
+        j = i + 1
         if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
+            line, col, i = line + 1, 1, j
             continue
         if ch in _PUNCT:
             depth += (ch == "(") - (ch == ")")
             if depth > MAX_NESTING:
                 raise ParseError(f"nesting deeper than {MAX_NESTING} levels", line, col)
             toks.append(_Tok("PUNCT", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < len(text) and text[i + 1].isdigit()):
-            j = i
-            seen_dot = False
+        elif ch.isdigit() or (ch == "." and j < len(text) and text[j].isdigit()):
+            seen_dot = ch == "."
             while j < len(text) and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    seen_dot = True
+                seen_dot = seen_dot or text[j] == "."
                 j += 1
-            word = text[i:j]
-            toks.append(_Tok("DECIMAL" if seen_dot else "INT", word, line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
+            toks.append(_Tok("DECIMAL" if seen_dot else "INT", text[i:j], line, col))
+        elif ch.isalpha() or ch == "_":
             while j < len(text) and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             toks.append(_Tok("NAME", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
+        elif not ch.isspace():
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+        col += j - i
+        i = j
     toks.append(_Tok("END", "", line, col))
     return toks
+
+
+# A form maps its name to its node type and one argument kind per dataclass
+# field, in field order.  A kind is a sub-grammar name, _NUM, an _Int, or a
+# tuple of kinds for a tuple-valued field, written as its comma-separated
+# elements.  A form with no arguments (None) is a bare name; a _Braces form
+# fills its one field with a brace list.
+
+@dataclass(frozen=True)
+class _Int:
+    """An integer argument: its minimum and what an error calls it."""
+
+    minimum: int
+    noun: str
+
+
+@dataclass(frozen=True)
+class _Braces:
+    """``{item, ...}`` with optional commas; a tuple item is parenthesised."""
+
+    item: object
+
+
+_NUM = "number"
+_EXPR, _BOUND, _INTS = "expr", "bound", "ints"
+
+_MODULUS = _Int(1, "lattice modulus")
+_OFFSET = _Int(0, "offset")
+_FACTOR = _Int(1, "dilation factor")
+_CORNER = _Int(1, "corner")
+
+# sub-grammar -> (what a missing form is called, what an unknown name is
+# called, forms)
+_GRAMMARS = {
+    _EXPR: ("an expression", "expression form", {
+        "P2": (FullQuadrant, None),
+        "empty": (Empty, None),
+        "lattice": (Lattice, (_MODULUS, _MODULUS)),
+        "prod": (Product, (_INTS, _INTS)),
+        "finite": (FinitePairs, _Braces((_Int(1, "coordinate"), _Int(1, "coordinate")))),
+        "translate": (Translate, (_EXPR, (_OFFSET, _OFFSET))),
+        "dilate": (Dilate, ((_FACTOR, _FACTOR), _EXPR)),
+        "union": (Union, (_EXPR, _EXPR)),
+        "inter": (Intersection, (_EXPR, _EXPR)),
+        "compl": (Complement, (_EXPR,)),
+        "diff": (Difference, (_EXPR, _EXPR)),
+        "upper": (UpperQuadrant, (_CORNER, _CORNER)),
+        "delim": (Delimited, (_BOUND, _BOUND)),
+    }),
+    _BOUND: ("a bound function (const/pow/exp)", "bound function", {
+        "const": (Constant, (_NUM,)),
+        "pow": (Power, (_NUM, _NUM)),
+        "exp": (Exponential, (_NUM, _NUM)),
+    }),
+    _INTS: ("an integer-set expression", "integer-set form", {
+        "P": (FullP, None),
+        "mult": (Multiples, (_Int(1, "modulus"),)),
+        "set": (FiniteSet, _Braces(_Int(1, "element"))),
+        "union": (IntUnion, (_INTS, _INTS)),
+        "inter": (IntIntersection, (_INTS, _INTS)),
+        "compl": (IntComplement, (_INTS,)),
+    }),
+}
+
+# node type -> (form name, argument kinds, field names)
+_FORM_OF = {
+    cls: (name, args, tuple(f.name for f in fields(cls)))
+    for _, _, forms in _GRAMMARS.values()
+    for name, (cls, args) in forms.items()
+}
 
 
 class _Parser:
@@ -149,17 +191,12 @@ class _Parser:
                              tok.line, tok.col)
         return tok
 
-    def fail(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.col)
-
-    # -- numbers ------------------------------------------------------------
-
-    def parse_int(self, minimum: int | None = None, what: str = "integer") -> int:
+    def parse_int(self, kind: _Int) -> int:
         tok = self.expect("INT")
         value = int(tok.text)
-        if minimum is not None and value < minimum:
-            raise ParseError(f"{what} must be >= {minimum}, got {value}", tok.line, tok.col)
+        if value < kind.minimum:
+            raise ParseError(f"{kind.noun} must be >= {kind.minimum}, got {value}",
+                             tok.line, tok.col)
         return value
 
     def parse_number(self) -> Fraction:
@@ -177,242 +214,98 @@ class _Parser:
         raise ParseError(f"expected a number, found {tok.text or 'end of input'!r}",
                          tok.line, tok.col)
 
-    # -- grammar ------------------------------------------------------------
+    def parse_leaf(self, kind):
+        """An argument of any kind but a sub-grammar."""
+        if kind is _NUM:
+            return self.parse_number()
+        if isinstance(kind, _Int):
+            return self.parse_int(kind)
+        values = []
+        for i, part in enumerate(kind):
+            if i:
+                self.expect("PUNCT", ",")
+            values.append(self.parse_leaf(part))
+        return tuple(values)
 
-    def parse_expr(self) -> GaussSetExpr:
+    def parse_braces(self, item) -> tuple:
+        self.expect("PUNCT", "{")
+        items = []
+        while self.peek().text != "}":
+            if isinstance(item, tuple):
+                self.expect("PUNCT", "(")
+                items.append(self.parse_leaf(item))
+                self.expect("PUNCT", ")")
+            else:
+                items.append(self.parse_leaf(item))
+            if self.peek().text == ",":
+                self.take()
+        self.take()
+        return tuple(items)
+
+    def parse(self, grammar: str):
+        """One form of the sub-grammar, with its arguments."""
+        expected, unknown, forms = _GRAMMARS[grammar]
         tok = self.peek()
         if tok.kind != "NAME":
-            raise self.fail(f"expected an expression, found {tok.text or 'end of input'!r}")
-        name = self.take().text
+            raise ParseError(f"expected {expected}, found {tok.text or 'end of input'!r}",
+                             tok.line, tok.col)
+        self.pos += 1
+        if tok.text not in forms:
+            raise ParseError(f"unknown {unknown} {tok.text!r}", tok.line, tok.col)
+        cls, args = forms[tok.text]
         try:
-            return self._expr_named(name, tok)
+            if args is None:
+                return cls()
+            if isinstance(args, _Braces):
+                return cls(self.parse_braces(args.item))
+            self.expect("PUNCT", "(")
+            values = []
+            for i, kind in enumerate(args):
+                if i:
+                    self.expect("PUNCT", ",")
+                values.append(self.parse(kind) if kind in _GRAMMARS else self.parse_leaf(kind))
+            self.expect("PUNCT", ")")
+            return cls(*values)
         except ValidationError as exc:
             raise ParseError(str(exc), tok.line, tok.col) from exc
-
-    def _expr_named(self, name: str, tok: _Tok) -> GaussSetExpr:
-        if name == "P2":
-            return FullQuadrant()
-        if name == "empty":
-            return Empty()
-        if name == "lattice":
-            self.expect("PUNCT", "(")
-            p = self.parse_int(1, "lattice modulus")
-            self.expect("PUNCT", ",")
-            q = self.parse_int(1, "lattice modulus")
-            self.expect("PUNCT", ")")
-            return Lattice(p, q)
-        if name == "prod":
-            self.expect("PUNCT", "(")
-            h = self.parse_ints()
-            self.expect("PUNCT", ",")
-            v = self.parse_ints()
-            self.expect("PUNCT", ")")
-            return Product(h, v)
-        if name == "finite":
-            self.expect("PUNCT", "{")
-            pairs = []
-            while True:
-                if self.peek().text == "}":
-                    self.take()
-                    break
-                self.expect("PUNCT", "(")
-                m = self.parse_int(1, "coordinate")
-                self.expect("PUNCT", ",")
-                n = self.parse_int(1, "coordinate")
-                self.expect("PUNCT", ")")
-                pairs.append((m, n))
-                if self.peek().text == ",":
-                    self.take()
-            return FinitePairs(tuple(pairs))
-        if name == "translate":
-            self.expect("PUNCT", "(")
-            inner = self.parse_expr()
-            self.expect("PUNCT", ",")
-            m0 = self.parse_int(0, "offset")
-            self.expect("PUNCT", ",")
-            n0 = self.parse_int(0, "offset")
-            self.expect("PUNCT", ")")
-            return Translate(inner, (m0, n0))
-        if name == "dilate":
-            self.expect("PUNCT", "(")
-            a = self.parse_int(1, "dilation factor")
-            self.expect("PUNCT", ",")
-            b = self.parse_int(1, "dilation factor")
-            self.expect("PUNCT", ",")
-            inner = self.parse_expr()
-            self.expect("PUNCT", ")")
-            return Dilate((a, b), inner)
-        if name in ("union", "inter", "diff"):
-            self.expect("PUNCT", "(")
-            left = self.parse_expr()
-            self.expect("PUNCT", ",")
-            right = self.parse_expr()
-            self.expect("PUNCT", ")")
-            if name == "union":
-                return Union(left, right)
-            if name == "inter":
-                return Intersection(left, right)
-            return Difference(left, right)
-        if name == "compl":
-            self.expect("PUNCT", "(")
-            inner = self.parse_expr()
-            self.expect("PUNCT", ")")
-            return Complement(inner)
-        if name == "upper":
-            self.expect("PUNCT", "(")
-            m0 = self.parse_int(1, "corner")
-            self.expect("PUNCT", ",")
-            n0 = self.parse_int(1, "corner")
-            self.expect("PUNCT", ")")
-            return UpperQuadrant(m0, n0)
-        if name == "delim":
-            self.expect("PUNCT", "(")
-            lower = self.parse_bound()
-            self.expect("PUNCT", ",")
-            upper = self.parse_bound()
-            self.expect("PUNCT", ")")
-            return Delimited(lower, upper)
-        raise ParseError(f"unknown expression form {name!r}", tok.line, tok.col)
-
-    def parse_bound(self) -> BoundFn:
-        tok = self.peek()
-        if tok.kind != "NAME":
-            raise self.fail("expected a bound function (const/pow/exp)")
-        name = self.take().text
-        try:
-            if name == "const":
-                self.expect("PUNCT", "(")
-                k = self.parse_number()
-                self.expect("PUNCT", ")")
-                return Constant(k)
-            if name == "pow":
-                self.expect("PUNCT", "(")
-                c = self.parse_number()
-                self.expect("PUNCT", ",")
-                alpha = self.parse_number()
-                self.expect("PUNCT", ")")
-                return Power(c, alpha)
-            if name == "exp":
-                self.expect("PUNCT", "(")
-                c = self.parse_number()
-                self.expect("PUNCT", ",")
-                a = self.parse_number()
-                self.expect("PUNCT", ")")
-                return Exponential(c, a)
-        except ValidationError as exc:
-            raise ParseError(str(exc), tok.line, tok.col) from exc
-        raise ParseError(f"unknown bound function {name!r}", tok.line, tok.col)
-
-    def parse_ints(self) -> IntSetExpr:
-        tok = self.peek()
-        if tok.kind != "NAME":
-            raise self.fail("expected an integer-set expression")
-        name = self.take().text
-        try:
-            if name == "P":
-                return FullP()
-            if name == "mult":
-                self.expect("PUNCT", "(")
-                p = self.parse_int(1, "modulus")
-                self.expect("PUNCT", ")")
-                return Multiples(p)
-            if name == "set":
-                self.expect("PUNCT", "{")
-                vals = []
-                while True:
-                    if self.peek().text == "}":
-                        self.take()
-                        break
-                    vals.append(self.parse_int(1, "element"))
-                    if self.peek().text == ",":
-                        self.take()
-                return FiniteSet(tuple(vals))
-            if name in ("union", "inter"):
-                self.expect("PUNCT", "(")
-                left = self.parse_ints()
-                self.expect("PUNCT", ",")
-                right = self.parse_ints()
-                self.expect("PUNCT", ")")
-                return IntUnion(left, right) if name == "union" else IntIntersection(left, right)
-            if name == "compl":
-                self.expect("PUNCT", "(")
-                inner = self.parse_ints()
-                self.expect("PUNCT", ")")
-                return IntComplement(inner)
-        except ValidationError as exc:
-            raise ParseError(str(exc), tok.line, tok.col) from exc
-        raise ParseError(f"unknown integer-set form {name!r}", tok.line, tok.col)
 
 
 def parse_expression(text: str) -> GaussSetExpr:
     """Parse the DSL; raises ParseError with position on malformed input."""
     parser = _Parser(text)
-    expr = parser.parse_expr()
+    expr = parser.parse(_EXPR)
     tail = parser.peek()
     if tail.kind != "END":
         raise ParseError(f"trailing input {tail.text!r}", tail.line, tail.col)
     return expr
 
 
-def _num(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
-def _bound_dsl(b: BoundFn) -> str:
-    if isinstance(b, Constant):
-        return f"const({_num(b.k)})"
-    if isinstance(b, Power):
-        return f"pow({_num(b.c)},{_num(b.alpha)})"
-    if isinstance(b, Exponential):
-        return f"exp({_num(b.c)},{_num(b.a)})"
-    raise TypeError(b)
-
-
-def _ints_dsl(e: IntSetExpr) -> str:
-    if isinstance(e, FullP):
-        return "P"
-    if isinstance(e, Multiples):
-        return f"mult({e.modulus})"
-    if isinstance(e, FiniteSet):
-        return "set{" + ",".join(str(v) for v in e.elements) + "}"
-    if isinstance(e, IntUnion):
-        return f"union({_ints_dsl(e.left)},{_ints_dsl(e.right)})"
-    if isinstance(e, IntIntersection):
-        return f"inter({_ints_dsl(e.left)},{_ints_dsl(e.right)})"
-    if isinstance(e, IntComplement):
-        return f"compl({_ints_dsl(e.inner)})"
-    raise TypeError(e)
+def _leaf_dsl(kind, value) -> str:
+    if kind is _NUM:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(kind, _Int):
+        return str(value)
+    return ",".join(_leaf_dsl(k, v) for k, v in zip(kind, value))
 
 
 def to_dsl(e: GaussSetExpr) -> str:
     """Print an expression in the DSL; parse(to_dsl(e)) denotes the same set."""
-    if isinstance(e, FullQuadrant):
-        return "P2"
-    if isinstance(e, Empty):
-        return "empty"
-    if isinstance(e, Lattice):
-        return f"lattice({e.p},{e.q})"
-    if isinstance(e, Product):
-        return f"prod({_ints_dsl(e.h)},{_ints_dsl(e.v)})"
-    if isinstance(e, FinitePairs):
-        inner = ",".join(f"({m},{n})" for m, n in e.pairs)
-        return "finite{" + inner + "}"
-    if isinstance(e, Translate):
-        return f"translate({to_dsl(e.inner)},{e.offset[0]},{e.offset[1]})"
-    if isinstance(e, Dilate):
-        return f"dilate({e.factor[0]},{e.factor[1]},{to_dsl(e.inner)})"
-    if isinstance(e, Union):
-        return f"union({to_dsl(e.left)},{to_dsl(e.right)})"
-    if isinstance(e, Intersection):
-        return f"inter({to_dsl(e.left)},{to_dsl(e.right)})"
-    if isinstance(e, Complement):
-        return f"compl({to_dsl(e.inner)})"
-    if isinstance(e, Difference):
-        return f"diff({to_dsl(e.left)},{to_dsl(e.right)})"
-    if isinstance(e, UpperQuadrant):
-        return f"upper({e.m0},{e.n0})"
-    if isinstance(e, Delimited):
-        return f"delim({_bound_dsl(e.lower)},{_bound_dsl(e.upper)})"
-    raise TypeError(e)
+    if type(e) not in _FORM_OF:
+        raise TypeError(e)
+    name, args, names = _FORM_OF[type(e)]
+    if args is None:
+        return name
+    if isinstance(args, _Braces):
+        item = args.item
+        parts = [_leaf_dsl(item, v) for v in getattr(e, names[0])]
+        if isinstance(item, tuple):
+            parts = [f"({p})" for p in parts]
+        return name + "{" + ",".join(parts) + "}"
+    parts = []
+    # a plain loop keeps the printer at one frame per nesting level
+    for kind, field in zip(args, names):
+        value = getattr(e, field)
+        parts.append(to_dsl(value) if kind in _GRAMMARS else _leaf_dsl(kind, value))
+    return f"{name}({','.join(parts)})"

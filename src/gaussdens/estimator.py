@@ -26,7 +26,7 @@ import numpy as np
 
 from .atoms import compile_set
 from .exact import DensityValue
-from .sets import BoundFn, Constant, Delimited, GaussSetExpr, normalize
+from .sets import BoundFn, Constant, Delimited, GaussSetExpr
 from .series import DEFAULT_TERM_BUDGET, SeriesEval, density_at, zeta
 
 __all__ = [
@@ -144,7 +144,7 @@ def estimate_density(
     flagged; such a report is never marked converged.
     """
 
-    atoms = compile_set(normalize(e))
+    atoms = compile_set(e)
 
     def point(s: float) -> SeriesEval:
         return density_at(e, s, cfg.per_point_eps, term_budget=cfg.term_budget,

@@ -1,7 +1,7 @@
 """Closed-form density rules over the compiled atoms.
 
-An expression is normalised and compiled (``gaussdens.atoms``) into a merged
-signed multiset of atoms, the same one the series engine sums; its density is
+An expression is compiled (``gaussdens.atoms``) into a merged signed
+multiset of atoms, the same one the series engine sums; its density is
 the sum of coefficient times the atom's closed form.  The density is finitely
 additive and translation invariant, and dilation by (a, b) divides it by ab,
 so the atom rules are all that is needed:
@@ -21,8 +21,8 @@ step of the progressions, and an axis section is finite exactly when that
 density is 0.  So every set-algebra rule lives in ``gaussdens.atoms``.
 
 One Unknown atom makes the whole density Unknown -- never a guess.  Every
-known value carries a trace: ``normalize`` when normalisation changed the
-expression, the algebra rules of its nodes, then the rules of its atoms.
+known value carries a trace: the algebra rules of its nodes, then the rules
+of its atoms.
 """
 
 from __future__ import annotations
@@ -289,7 +289,8 @@ def _atom_density(atom) -> DensityValue:
         return DensityValue.from_real(band.value / scale, f"({band.symbolic})/{scale}",
                                       band.trace)
     assert isinstance(atom, GenAtom)
-    if "finite" in axis_section_finite(atom.expr):
+    # normalising first lets a double complement inside the atom read as finite
+    if "finite" in axis_section_finite(normalize(atom.expr)):
         return _known_fraction(Fraction(0), "finite-axis-section")
     return DensityValue.unknown()
 
@@ -323,15 +324,10 @@ def _node_rules(e) -> list[str]:
 def exact_density(e: GaussSetExpr) -> DensityValue:
     """Density of a quadrant set: the sum of coefficient times closed-form
     density over the atoms the set compiles to, Unknown when an atom has none."""
-    normalized = normalize(e)
-    parts = [(c, _atom_density(a)) for a, c in compile_set(normalized).items()]
+    parts = [(c, _atom_density(a)) for a, c in compile_set(e).items()]
     if not all(d.is_known for _, d in parts):
         return DensityValue.unknown()
-    trace = _merge_traces(
-        "normalize" if normalized != e else (),
-        _node_rules(normalized),
-        *dict.fromkeys(d.trace for _, d in parts),
-    )
+    trace = _merge_traces(_node_rules(e), *dict.fromkeys(d.trace for _, d in parts))
     rational = sum((c * d.rational for c, d in parts if d.kind == "rational"), Fraction(0))
     reals = [(c, d) for c, d in parts if d.kind == "real"]
     if not reals:

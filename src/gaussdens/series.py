@@ -9,8 +9,8 @@ with a rigorous bound on the omitted mass.  Everything else in the package
 
 Evaluation strategy
 -------------------
-An expression is normalised and compiled (``gaussdens.atoms``, shared with
-the exact engine) into a merged signed multiset of *atoms*: a map from atom
+An expression is compiled (``gaussdens.atoms``, shared with the exact
+engine) into a merged signed multiset of *atoms*: a map from atom
 to integer coefficient, exact at the level of indicator functions.  Each
 distinct atom is evaluated once to the target eps * zeta(s)^2 / sum |coef|,
 and its error counts |coef| times.  When any node of the expression would
@@ -85,7 +85,6 @@ from .sets import (
     _HUGE,
     _LOG_HUGE,
     grid_mask,
-    normalize,
     power_form,
 )
 
@@ -398,23 +397,18 @@ def _eval_delim_atom(atom: DelimAtom, s: float, eps_abs: float,
         outer, outer_err, terms = _dsum_1d(Prog(am, am * atom.u_min + bm), s)
         return band * outer, band * outer_err + 1e-15 * band * outer, terms, True
 
-    def rem_bounds(M: int) -> tuple[float, float]:
-        v_lo, e_lo = _delim_rem_terms(atom.lower, +1.0, atom, s, M)
-        v_up, e_up = _delim_rem_terms(atom.upper, -1.0, atom, s, M)
-        return v_lo + v_up, e_lo + e_up
-
     M = _delim_required_start(atom)
     while True:
-        _, err = rem_bounds(M)
-        if err <= eps_abs * 0.5:
+        v_lo, e_lo = _delim_rem_terms(atom.lower, +1.0, atom, s, M)
+        v_up, e_up = _delim_rem_terms(atom.upper, -1.0, atom, s, M)
+        rem_val, rem_err = v_lo + v_up, e_lo + e_up
+        if rem_err <= eps_abs * 0.5:
             met = True
             break
         if M >= rows_budget:
             met = False
             break
         M = min(M * 2, max(rows_budget, M + 1))
-
-    rem_val, rem_err = rem_bounds(M)
 
     # direct rows u_min..M
     chunk = max(1, _ROW_CHUNK_BYTES // 64)
@@ -532,7 +526,7 @@ def density_at(
     than term_budget terms (with loosen=True the best value within budget is
     returned instead, its true tail bound reported honestly).
 
-    ``atoms``, if given, must be ``compile_set(normalize(e))``; a caller that
+    ``atoms``, if given, must be ``compile_set(e)``; a caller that
     evaluates e at several s compiles it once."""
     if not s > 1.0:
         raise ValueError(f"density_at requires s > 1, got {s}")
@@ -542,7 +536,7 @@ def density_at(
     z = zeta(s)
     z2 = z * z
     if atoms is None:
-        atoms = compile_set(normalize(e))
+        atoms = compile_set(e)
     if not atoms:
         return SeriesEval(s, 0.0, 0.0, 0, "product-closed-form")
     # each distinct atom is evaluated once and weighs |coef| in the error

@@ -185,14 +185,24 @@ def int_contains(e: IntSetExpr, m: int) -> bool:
     raise TypeError(f"unknown IntSetExpr node {e!r}")
 
 
+def _multiples_mask(values: np.ndarray, p: int) -> np.ndarray:
+    # a modulus above every value matches nothing (and would overflow int64)
+    if p > values.max(initial=0):
+        return np.zeros(values.shape, dtype=bool)
+    return values % p == 0
+
+
 def int_mask(e: IntSetExpr, values: np.ndarray) -> np.ndarray:
     """Vectorised membership over an array of positive integers."""
     if isinstance(e, FullP):
         return np.ones(values.shape, dtype=bool)
     if isinstance(e, FiniteSet):
-        return np.isin(values, np.asarray(e.elements, dtype=values.dtype))
+        # likewise an element above every value, which int64 could not hold
+        top = values.max(initial=0)
+        return np.isin(values, np.asarray([x for x in e.elements if x <= top],
+                                          dtype=values.dtype))
     if isinstance(e, Multiples):
-        return values % e.modulus == 0
+        return _multiples_mask(values, e.modulus)
     if isinstance(e, IntUnion):
         return int_mask(e.left, values) | int_mask(e.right, values)
     if isinstance(e, IntIntersection):
@@ -801,7 +811,7 @@ def grid_mask(e: GaussSetExpr, m_lo: int, m_hi: int, n_hi: int) -> np.ndarray:
     if isinstance(e, Product):
         return np.outer(int_mask(e.h, ms), int_mask(e.v, ns))
     if isinstance(e, Lattice):
-        return np.outer(ms % e.p == 0, ns % e.q == 0)
+        return np.outer(_multiples_mask(ms, e.p), _multiples_mask(ns, e.q))
     if isinstance(e, UpperQuadrant):
         return np.outer(ms >= e.m0, ns >= e.n0)
     if isinstance(e, Union):

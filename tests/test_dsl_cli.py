@@ -4,13 +4,32 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gaussdens import (
+    Complement,
+    Constant,
     Delimited,
+    Difference,
+    Dilate,
+    Empty,
+    Exponential,
+    FiniteSet,
+    FinitePairs,
+    FullP,
     FullQuadrant,
+    IntComplement,
+    IntIntersection,
+    IntUnion,
     Intersection,
     Lattice,
+    Multiples,
     Power,
+    Product,
+    Translate,
+    Union,
+    UpperQuadrant,
+    ValidationError,
     contains,
     parse_expression,
     to_dsl,
@@ -60,6 +79,14 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as err:
         parse_expression("union(P2,\n  bogus(1))")
     assert err.value.line == 2
+    with pytest.raises(ParseError) as err:
+        parse_expression("delim(pow(1,1/3),7ow(1,3))")
+    assert (err.value.line, err.value.col) == (1, 18)
+    assert "found '7'" in str(err.value)
+    with pytest.raises(ParseError) as err:
+        parse_expression("prod(mult(2),\n 7)")
+    assert (err.value.line, err.value.col) == (2, 2)
+    assert "found '7'" in str(err.value)
 
 
 def test_parse_rejects_trailing_and_unknown():
@@ -75,6 +102,71 @@ def test_roundtrip_on_corpus():
     for entry in CORPUS:
         back = parse_expression(to_dsl(entry.expr))
         assert (grid_mask(back, 1, 64, 64) == grid_mask(entry.expr, 1, 64, 64)).all(), entry.name
+
+
+_fractions = st.fractions(min_value=Fraction(1, 2), max_value=3, max_denominator=12)
+_ints = st.recursive(
+    st.one_of(
+        st.just(FullP()),
+        st.builds(Multiples, st.integers(1, 10 ** 30)),
+        st.builds(lambda xs: FiniteSet(tuple(xs)), st.lists(st.integers(1, 99), max_size=4)),
+    ),
+    lambda inner: st.one_of(
+        st.builds(IntUnion, inner, inner),
+        st.builds(IntIntersection, inner, inner),
+        st.builds(IntComplement, inner),
+    ),
+    max_leaves=4,
+)
+
+
+def _delimited(pair):
+    try:
+        return Delimited(*pair)
+    except ValidationError:
+        return None
+
+
+_bands = st.builds(
+    _delimited,
+    st.tuples(
+        st.one_of(st.builds(Constant, st.fractions(1, 3, max_denominator=12)),
+                  st.builds(Power, st.fractions(1, 2, max_denominator=12), _fractions)),
+        st.one_of(st.builds(Power, st.fractions(3, 4, max_denominator=12),
+                            st.fractions(3, 4, max_denominator=12)),
+                  st.builds(Exponential, st.fractions(3, 4, max_denominator=12),
+                            st.fractions(2, 3, max_denominator=12))),
+    ),
+).filter(lambda band: band is not None)
+
+_exprs = st.recursive(
+    st.one_of(
+        st.just(FullQuadrant()),
+        st.just(Empty()),
+        st.builds(Lattice, st.integers(1, 10 ** 30), st.integers(1, 9)),
+        st.builds(Product, _ints, _ints),
+        st.builds(lambda ps: FinitePairs(tuple(ps)),
+                  st.lists(st.tuples(st.integers(1, 99), st.integers(1, 99)), max_size=3)),
+        st.builds(UpperQuadrant, st.integers(1, 9), st.integers(1, 9)),
+        _bands,
+    ),
+    lambda inner: st.one_of(
+        st.builds(Translate, inner, st.tuples(st.integers(0, 9), st.integers(0, 9))),
+        st.builds(Dilate, st.tuples(st.integers(1, 9), st.integers(1, 9)), inner),
+        st.builds(Union, inner, inner),
+        st.builds(Intersection, inner, inner),
+        st.builds(Complement, inner),
+        st.builds(Difference, inner, inner),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_exprs)
+def test_print_parse_roundtrip(e):
+    # the printer writes each node's fields in the order the parser reads them
+    assert parse_expression(to_dsl(e)) == e
 
 
 def test_parse_finite_and_prod_forms():
@@ -146,6 +238,26 @@ def test_cli_engine_error_exit(capsys):
     code = main(["sweep", "P2", "--eps", "-1"])
     assert code == 1
     assert "engine error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["exact", "P2", "--budget", "0"],
+    ["estimate", "P2", "--degree", "0"],
+    ["check", "--workers", "0"],
+    ["oracle", "P2", "--N", "0"],
+    ["sweep", "P2", "--points", "1"],
+    ["exact", "P2", "--budget", "many"],
+])
+def test_cli_numeric_flags_validated(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert argv[-2] in capsys.readouterr().err
+
+
+def test_cli_oracle_modulus_beyond_int64(capsys):
+    assert main(["oracle", "lattice(100000000000000000000,1)"]) == 0
+    assert "oracle=0.0" in capsys.readouterr().out
 
 
 def test_cli_sweep_csv(tmp_path):

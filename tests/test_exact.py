@@ -407,6 +407,23 @@ def test_finite_axis_forces_zero_density():
     assert frac(Dilate((3, 2), Product(FiniteSet((3,)), FullP()))) == 0
 
 
+def test_double_complement_in_generic_atom_keeps_finite_axis():
+    # Delimited ∩ Product has no atom rule, so this is one generic atom whose
+    # horizontal section is finite once the double complement is removed
+    e = Intersection(Delimited(Constant(1), Power(1, 2)),
+                     Complement(Complement(Product(FiniteSet((1, 2)), FullP()))))
+    v = exact_density(e)
+    assert v.rational == 0
+    assert v.trace[-1] == "finite-axis-section"
+
+
+def test_deep_python_built_union():
+    # deeper than the DSL allows: the engine must not recurse through
+    # structural equality of the whole tree
+    e = reduce(Union, [Translate(Lattice(2, 3), (i % 2, i % 3)) for i in range(400)])
+    assert exact_density(e).rational == 1
+
+
 def test_exact_real_for_wide_fraction_parameters():
     import math
     alpha = Fraction(math.sqrt(2))  # denominator far beyond the rational cap

@@ -313,6 +313,14 @@ def test_translate_membership_law(e, m0, n0):
             assert contains(shifted, (m, n)) is want
 
 
+def test_grid_mask_modulus_above_int64():
+    # a modulus above the box matches nothing, without int64 arithmetic
+    assert not grid_mask(Lattice(10 ** 20, 1), 1, 5, 5).any()
+    huge = Product(FiniteSet((2, 10 ** 20)), IntComplement(Multiples(10 ** 20)))
+    mask = grid_mask(huge, 1, 5, 5)
+    assert mask[1].all() and mask.sum() == 5
+
+
 def test_finite_pairs_cap():
     with pytest.raises(ValidationError):
         FinitePairs(tuple((m, 1) for m in range(1, 10 ** 6 + 2)))
