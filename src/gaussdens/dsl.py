@@ -61,6 +61,8 @@ class _Tok(NamedTuple):
 
 
 _PUNCT = set("(){},/")
+# ASCII only: str.isdigit also accepts superscripts, which int() rejects
+_DIGITS = set("0123456789")
 # every nested form opens a parenthesis; deeper input would exhaust the
 # recursion of the parser and of the engines that walk the expression
 MAX_NESTING = 200
@@ -82,9 +84,9 @@ def _tokenize(text: str) -> list[_Tok]:
             if depth > MAX_NESTING:
                 raise ParseError(f"nesting deeper than {MAX_NESTING} levels", line, col)
             toks.append(_Tok("PUNCT", ch, line, col))
-        elif ch.isdigit() or (ch == "." and j < len(text) and text[j].isdigit()):
+        elif ch in _DIGITS or (ch == "." and j < len(text) and text[j] in _DIGITS):
             seen_dot = ch == "."
-            while j < len(text) and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
+            while j < len(text) and (text[j] in _DIGITS or (text[j] == "." and not seen_dot)):
                 seen_dot = seen_dot or text[j] == "."
                 j += 1
             toks.append(_Tok("DECIMAL" if seen_dot else "INT", text[i:j], line, col))

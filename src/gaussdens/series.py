@@ -63,7 +63,12 @@ geometrically past M and are charged entirely to the error.
 
 Summation order is deterministic: fixed chunking, ascending rows and columns,
 pairwise row reductions, and an exact (error-free-transformation) final sum
-across rows, so results do not depend on worker count.
+across rows, so results do not depend on worker count.  The direct rows of a
+delimited atom are summed in fixed chunks of ``_CHUNK_ROWS`` (one pairwise
+``np.sum`` each, then ``math.fsum`` over the chunks).  Inside a chunk the rows
+are evaluated in cache-sized blocks of ``_BLOCK_ROWS`` that write their terms
+into one chunk buffer; every row's term is computed by the same elementwise
+operations whatever block holds it, so the block size never changes a sum.
 """
 
 from __future__ import annotations
@@ -103,7 +108,8 @@ _EM_MIN = 64.0          # smallest argument for the Euler-Maclaurin tail
 _TABLE = 10_000         # inner tails up to this cut point are tabulated exactly
 _DIRECT_SPAN = 10_000   # range_sum switches to EM differences past this span
 _GENERIC_HARD_CAP = 20_000    # generic box side cap (memory/time)
-_ROW_CHUNK_BYTES = 64_000_000
+_CHUNK_ROWS = 1_000_000     # direct rows per np.sum; fixes the summation order
+_BLOCK_ROWS = 16_384        # rows evaluated together inside a chunk (L2-sized)
 
 
 class BudgetExceeded(RuntimeError):
@@ -141,8 +147,9 @@ def _rising(s: float, k: int) -> float:
     return out
 
 
-def _em_tail(x, s: float):
-    """sum_{j>=0} (j+x)^(-s) for real x >= _EM_MIN (scalar or ndarray)."""
+def _em_tail(x, s):
+    """sum_{j>=0} (j+x)^(-s) for real x >= _EM_MIN (scalar or ndarray); for
+    an array s, one value per exponent (but see _em_tails)."""
     x = np.asarray(x, dtype=float)
     r = (
         x ** (1.0 - s) / (s - 1.0)
@@ -152,6 +159,21 @@ def _em_tail(x, s: float):
         + (_rising(s, 5) / 30240.0) * x ** (-s - 5.0)
     )
     return r if r.shape else float(r)
+
+
+# exponents for which numpy's x ** e with a scalar e takes a shortcut
+# (reciprocal, square, sqrt, ...) instead of pow
+_POW_SHORTCUTS = frozenset((-1.0, 0.0, 0.5, 1.0, 2.0))
+
+
+def _em_tails(x: float, ps) -> list[float]:
+    """[_em_tail(x, p) for p in ps], bit for bit, in one vectorised pass;
+    an exponent that meets a scalar shortcut is evaluated on its own."""
+    out = _em_tail(x, np.array(ps)).tolist()
+    for i, p in enumerate(ps):
+        if not _POW_SHORTCUTS.isdisjoint((1.0 - p, -p, -p - 1.0, -p - 3.0, -p - 5.0)):
+            out[i] = _em_tail(x, p)
+    return out
 
 
 def _em_tail_err(x: float, s: float) -> float:
@@ -243,34 +265,103 @@ def _axis_sums(atoms, s: float) -> dict:
     return sums
 
 
-def _bound_floats(b: BoundFn, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised bound values (snapped, capped at 2^62) and their true logs.
+# Values a bound takes on every row of a block where it is saturated.
+_SATURATED = np.exp(np.array([_LOG_HUGE]))
+_SATURATED.flags.writeable = False
+# exp(z) is exactly 0.0 for z < _EXP_ZERO (the smallest subnormal is
+# exp(-744.4)); np.exp takes a slow path on such arguments, so they are skipped
+_EXP_ZERO = -746.0
+_ZEROS = np.zeros(1)
+_ZEROS.flags.writeable = False
 
-    Beyond the cap only the logarithm matters: cut points enter tails through
-    x^(1-s) = exp((1-s) log x) and the one-unit cut jitter is below every
-    tolerance there.
+
+def _exp(z: np.ndarray) -> np.ndarray:
+    """np.exp(z) without evaluating arguments that underflow to 0.0."""
+    if z.min() >= _EXP_ZERO:
+        return np.exp(z)
+    live = z >= _EXP_ZERO
+    if not live.any():
+        return _ZEROS
+    out = np.zeros(z.shape)
+    out[live] = np.exp(z[live])
+    return out
+
+
+def _capped_exp(logs: np.ndarray) -> np.ndarray:
+    """exp(min(logs, log 2^62)); one value when every row saturates."""
+    if logs.min() >= _LOG_HUGE:
+        return _SATURATED
+    return np.exp(np.minimum(logs, _LOG_HUGE))
+
+
+def _bound_floats(b: BoundFn, u: np.ndarray,
+                  logu: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Bound values at rows u (snapped, capped at 2^62) and their true logs.
+
+    ``logu`` is log(u), shared by both sides of a power band.  A result of
+    length 1 stands for every row: a constant bound, or one saturated on the
+    whole block.  Beyond the cap only the logarithm matters: cut points enter
+    tails through x^(1-s) = exp((1-s) log x) and the one-unit cut jitter is
+    below every tolerance there.
     """
     if isinstance(b, Constant):
         k = float(b.k)
-        return np.full(u.shape, k), np.full(u.shape, math.log(k))
-    if isinstance(b, Power):
-        logs = math.log(float(b.c)) + float(b.alpha) * np.log(u)
-        vals = np.exp(np.minimum(logs, _LOG_HUGE))
+        vals, logs = np.array([k]), np.array([math.log(k)])
+    elif isinstance(b, Power):
+        logs = math.log(float(b.c)) + float(b.alpha) * logu
         if b.exact_int(1) is not None:
-            exact = float(b.c) * u ** float(b.alpha)
-            vals = np.where(exact < _HUGE, exact, vals)
+            # the exact product; exp(logs) only where it saturates
+            vals = float(b.c) * u ** float(b.alpha)
+            sat = vals >= _HUGE
+            if sat.any():
+                vals[sat] = _capped_exp(logs[sat])
+        else:
+            vals = _capped_exp(logs)
     else:
         assert isinstance(b, Exponential)
         logs = math.log(float(b.c)) + u * math.log(float(b.a))
-        vals = np.exp(np.minimum(logs, _LOG_HUGE))
+        vals = _capped_exp(logs)
+    if vals.min() >= 2.0 ** 52:     # every such float is an integer already
+        return vals, logs
     r = np.round(vals)
-    snapped = np.where(np.abs(vals - r) <= 1e-9, r, vals)
-    return snapped, logs
+    return np.where(np.abs(vals - r) <= 1e-9, r, vals), logs
+
+
+def _tail_em(x: np.ndarray, logx: np.ndarray, s: float, an: int,
+             bn: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Midpoint EM form of T at cut points past the table, and exp(-s*logx)
+    when the form was taken at logx on every row (else None)."""
+    exp, shared = _exp, False
+    if x.max() < 1e15:
+        # mid_log < 35: the exponentials below underflow only for s > 18
+        mid_log, exp = np.log(x + 0.5 + bn / an), np.exp
+    else:
+        near = x < 1e15
+        shared = not near.any()
+        mid_log = logx if shared else np.where(near, np.log(x + 0.5 + bn / an), logx)
+    e_s = exp(-s * mid_log)
+    t = (
+        exp((1.0 - s) * mid_log) / (s - 1.0)
+        + 0.5 * e_s
+        + (s / 12.0) * exp(-(s + 1.0) * mid_log)
+        - (_rising(s, 3) / 720.0) * exp(-(s + 3.0) * mid_log)
+    )
+    if an != 1:
+        t = an ** (-s) * t
+    return t, (e_s if shared else None)
+
+
+def _rise(mask: np.ndarray) -> Optional[int]:
+    """i if mask is False on the rows before i and True from row i on, else
+    None.  A growing bound crosses each threshold once: the usual shape."""
+    i = mask.size - int(np.count_nonzero(mask))
+    return i if mask[i:].all() else None
 
 
 def _tail_at_cut(x: np.ndarray, logx: np.ndarray, ceil_side: bool, s: float,
-                 an: int, bn: int) -> np.ndarray:
-    """T(cut(x)) where cut = ceil(x)-1 on the lower side, floor(x) above.
+                 an: int, bn: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """T(cut(x)) where cut = ceil(x)-1 on the lower side, floor(x) above,
+    with _tail_em's exp(-s*logx) (or None).
 
     Exact (tabulated) below _TABLE; smooth midpoint EM form above, whose
     per-row error is covered by the caller's jitter budget; log-space EM once
@@ -278,23 +369,120 @@ def _tail_at_cut(x: np.ndarray, logx: np.ndarray, ceil_side: bool, s: float,
     """
     k = (np.ceil(x) - 1.0) if ceil_side else np.floor(x)
     k = np.maximum(k, 0.0)
-    out = np.empty(x.shape)
-    small = k < _TABLE
+    big = k >= _TABLE
+    i = _rise(big)
+    if i == 0:
+        return _tail_em(x, logx, s, an, bn)
     table = _tail_table(s, an, bn)
-    out[small] = table[k[small].astype(np.int64)]
-    big = ~small
-    mid_log = np.where(
-        x[big] < 1e15,
-        np.log(x[big] + 0.5 + bn / an),
-        logx[big],
-    )
-    out[big] = an ** (-s) * (
-        np.exp((1.0 - s) * mid_log) / (s - 1.0)
-        + 0.5 * np.exp(-s * mid_log)
-        + (s / 12.0) * np.exp(-(s + 1.0) * mid_log)
-        - (_rising(s, 3) / 720.0) * np.exp(-(s + 3.0) * mid_log)
-    )
+    if i == k.size:
+        return table[k.astype(np.int64)], None
+    out = np.empty(k.shape)
+    if i is None:
+        small = ~big
+        out[small] = table[k[small].astype(np.int64)]
+        out[big] = _tail_em(x[big], logx[big], s, an, bn)[0]
+    else:
+        out[:i] = table[k[:i].astype(np.int64)]
+        out[i:] = _tail_em(x[i:], logx[i:], s, an, bn)[0]
+    return out, None
+
+
+def _jitter(vals: np.ndarray, logs: np.ndarray, s: float, an: int,
+            e_s: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """Cut-jitter bound 1.2*(an*b)^(-s) on rows whose bound b passes the
+    table (0 elsewhere), or None when no row does."""
+    sel = vals >= float(_TABLE)
+    i = _rise(sel)
+    if i == sel.size:
+        return None
+    if e_s is not None and an == 1:
+        return 1.2 * e_s    # log(1) + logs == logs: the tail's exp(-s*logs)
+    if i == 0:
+        return 1.2 * _exp(-s * (math.log(an) + logs))
+    out = np.zeros(vals.shape)
+    if i is None:
+        out[sel] = 1.2 * _exp(-s * (math.log(an) + logs[sel]))
+    else:
+        out[i:] = 1.2 * _exp(-s * (math.log(an) + logs[i:]))
     return out
+
+
+def _side_rows(b: BoundFn, u, logu, lower: bool, v_min: int, s: float, an: int,
+               bn: int) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """(bound values, T at the cut, cut-jitter or None) of one side on rows u;
+    the lower side is cut at v_min."""
+    vals, logs = _bound_floats(b, u, logu)
+    if lower:
+        vals = np.maximum(vals, float(v_min))
+        logs = np.maximum(logs, math.log(float(v_min)))
+    t, e_s = _tail_at_cut(vals, logs, lower, s, an, bn)
+    return vals, t, _jitter(vals, logs, s, an, e_s)
+
+
+@lru_cache(maxsize=512)
+def _constant_side(b: Constant, lower: bool, v_min: int, s: float, an: int,
+                   bn: int) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """_side_rows of a constant bound: one value for every row of every block
+    (read-only, since every caller shares it)."""
+    side = _side_rows(b, None, None, lower, v_min, s, an, bn)
+    for a in side:
+        if a is not None:
+            a.flags.writeable = False
+    return side
+
+
+def _row_block(atom: DelimAtom, s: float, u: np.ndarray):
+    """(w, inner, jitter) on rows u: the outer weight (am*u+bm)^(-s), the
+    inner range sum and the cut-jitter bound (None if 0 on every row)."""
+    am, bm, an, bn = atom.am, atom.bm, atom.an, atom.bn
+    w = (u if (am, bm) == (1, 0) else am * u + bm) ** -s
+    logu = np.log(u) if Power in (type(atom.lower), type(atom.upper)) else None
+    sides = []
+    for b, lower in ((atom.lower, True), (atom.upper, False)):
+        if isinstance(b, Constant):
+            sides.append(_constant_side(b, lower, atom.v_min, s, an, bn))
+        else:
+            sides.append(_side_rows(b, u, logu, lower, atom.v_min, s, an, bn))
+    (fvals, t_lo, jit_lo), (gvals, t_hi, jit_hi) = sides
+    ok = np.ceil(fvals) <= np.floor(gvals)
+    inner = t_lo - t_hi
+    if not ok.all():
+        inner = np.where(ok, inner, 0.0)
+    if jit_lo is None or jit_hi is None:
+        return w, inner, (jit_hi if jit_lo is None else jit_lo)
+    return w, inner, jit_lo + jit_hi
+
+
+def _direct_rows(atom: DelimAtom, s: float, M: int) -> tuple[list[float], float, int]:
+    """(chunk sums, jitter bound, rows) of the direct rows u_min..M.
+
+    Each chunk of _CHUNK_ROWS rows is one np.sum; its rows are evaluated in
+    blocks of _BLOCK_ROWS written into one chunk buffer, so the block size
+    never changes a sum.
+    """
+    rows = max(M - atom.u_min + 1, 0)
+    prod = np.empty(min(rows, _CHUNK_ROWS))
+    jit = np.empty(prod.shape)
+    row_sums: list[float] = []
+    jitter = 0.0
+    for lo in range(atom.u_min, M + 1, _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS - 1, M)
+        any_jit = False
+        for b0 in range(lo, hi + 1, _BLOCK_ROWS):
+            b1 = min(b0 + _BLOCK_ROWS - 1, hi)
+            i, j = b0 - lo, b1 - lo + 1
+            w, inner, big = _row_block(atom, s, np.arange(float(b0), float(b1) + 1.0))
+            np.multiply(w, inner, out=prod[i:j])
+            if big is None:
+                jit[i:j] = 0.0
+            else:
+                np.multiply(w, big, out=jit[i:j])
+                any_jit = True
+        n = hi - lo + 1
+        row_sums.append(float(np.sum(prod[:n])))
+        if any_jit:
+            jitter += float(np.sum(jit[:n]))
+    return row_sums, jitter, rows
 
 
 def _const_like(b: BoundFn) -> bool:
@@ -303,17 +491,23 @@ def _const_like(b: BoundFn) -> bool:
 
 
 def _crossover_u(b: BoundFn, target: float) -> int:
-    """Smallest u with b(u) >= target (conservative), for growing bounds."""
+    """Smallest u with b(u) >= target (conservative), for growing bounds;
+    saturates at _HUGE, past any row budget."""
     if isinstance(b, Constant):
         return 1
     if isinstance(b, Power):
         if b.alpha == 0:
             return 1
         c, al = float(b.c), float(b.alpha)
+        if math.log(target / c) >= _LOG_HUGE * al:
+            return _HUGE
         return max(1, int(math.ceil((target / c) ** (1.0 / al))) + 1)
     assert isinstance(b, Exponential)
     c, base = float(b.c), float(b.a)
-    return max(1, int(math.ceil(math.log(max(target / c, 1.0)) / math.log(base))) + 1)
+    log_ratio, log_base = math.log(max(target / c, 1.0)), math.log(base)
+    if log_ratio >= _HUGE * log_base:
+        return _HUGE
+    return max(1, int(math.ceil(log_ratio / log_base)) + 1)
 
 
 def _delim_rem_terms(side: BoundFn, sign: float, atom: DelimAtom, s: float,
@@ -345,7 +539,12 @@ def _delim_rem_terms(side: BoundFn, sign: float, atom: DelimAtom, s: float,
         return 0.0, scale * geo
 
     c, al = map(float, power_form(side))
-    h = lambda p: float(_em_tail(M + 1.0, p))
+    # h(p) = sum_{u>M} u^(-p) at every exponent p the terms below use, in one pass
+    ps = (s + al * d, s + 1.0 + al * d, s + al + al * d, s + al * s,
+          s + al * (s + 1.0), s * (1.0 + al), s + al * d + 2 * al, s + al * s + al,
+          s + 1.0 + al * s, s + 2.0 + al * d, s + 2.0 + al * s, s + al * (s + 3.0),
+          s + al * (s + 1.0) + al)
+    h = dict(zip(ps, _em_tails(M + 1.0, ps))).__getitem__
     # value terms: leading, outer linear correction, inner shift correction,
     # half step, first Bernoulli step
     val = (
@@ -398,6 +597,12 @@ def _eval_delim_atom(atom: DelimAtom, s: float, eps_abs: float,
         return band * outer, band * outer_err + 1e-15 * band * outer, terms, True
 
     M = _delim_required_start(atom)
+    if M > rows_budget:
+        # the remainder forms hold only past M: charge the atom's whole mass,
+        # every row and column the cuts allow summed on each axis
+        vo, eo, to = _dsum_1d(Prog(am, am * atom.u_min + bm), s)
+        vi, ei, ti = _dsum_1d(Prog(an, an * atom.v_min + bn), s)
+        return 0.0, (vo + eo) * (vi + ei) * (1.0 + 1e-15), to + ti, False
     while True:
         v_lo, e_lo = _delim_rem_terms(atom.lower, +1.0, atom, s, M)
         v_up, e_up = _delim_rem_terms(atom.upper, -1.0, atom, s, M)
@@ -410,31 +615,7 @@ def _eval_delim_atom(atom: DelimAtom, s: float, eps_abs: float,
             break
         M = min(M * 2, max(rows_budget, M + 1))
 
-    # direct rows u_min..M
-    chunk = max(1, _ROW_CHUNK_BYTES // 64)
-    row_sums: list[float] = []
-    jitter_direct = 0.0
-    u0 = atom.u_min
-    total_rows = 0
-    table_lim = float(_TABLE)
-    for lo in range(u0, M + 1, chunk):
-        hi = min(lo + chunk - 1, M)
-        u = np.arange(float(lo), float(hi) + 1.0)
-        w = (am * u + bm) ** -s
-        fraw, flog = _bound_floats(atom.lower, u)
-        gvals, glog = _bound_floats(atom.upper, u)
-        fvals = np.maximum(fraw, float(atom.v_min))
-        flog = np.maximum(flog, math.log(float(atom.v_min)))
-        t_lo = _tail_at_cut(fvals, flog, True, s, an, bn)
-        t_hi = _tail_at_cut(gvals, glog, False, s, an, bn)
-        inner = np.where(np.ceil(fvals) <= np.floor(gvals), t_lo - t_hi, 0.0)
-        row_sums.append(float(np.sum(w * inner)))
-        big = np.zeros(u.shape)
-        for vals, logs in ((fvals, flog), (gvals, glog)):
-            sel = vals >= table_lim
-            big[sel] += 1.2 * np.exp(-s * (math.log(an) + logs[sel]))
-        jitter_direct += float(np.sum(w * big))
-        total_rows += u.shape[0]
+    row_sums, jitter_direct, total_rows = _direct_rows(atom, s, M)
     value = math.fsum(row_sums) + rem_val
     err = rem_err + jitter_direct + 1e-15 * abs(value)
     return value, err, total_rows, met

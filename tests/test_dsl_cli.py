@@ -89,6 +89,20 @@ def test_parse_error_positions():
     assert "found '7'" in str(err.value)
 
 
+@pytest.mark.parametrize("text,col", [
+    ("lattice(²,1)", 9),      # superscript two: str.isdigit, but not a digit to int()
+    ("lattice(2²,1)", 10),
+    ("lattice(٣,1)", 9),      # Arabic-Indic three
+])
+def test_non_ascii_digits_are_parse_errors(text, col, capsys):
+    with pytest.raises(ParseError) as err:
+        parse_expression(text)
+    assert (err.value.line, err.value.col) == (1, col)
+    assert main(["exact", text]) == 2
+    message = capsys.readouterr().err
+    assert message.count("\n") == 1 and f"column {col}" in message
+
+
 def test_parse_rejects_trailing_and_unknown():
     with pytest.raises(ParseError):
         parse_expression("P2 extra")
@@ -253,6 +267,16 @@ def test_cli_numeric_flags_validated(argv, capsys):
         main(argv)
     assert exit_info.value.code == 2
     assert argv[-2] in capsys.readouterr().err
+
+
+def test_cli_tiny_exponent_band_is_unmet_not_a_crash(capsys):
+    # the first direct row of a pow(1, 10^-6) lower side lies past 2^62
+    text = "delim(pow(1,1/1000000),pow(1,1000000))"
+    for command in ("estimate", "compare"):
+        assert main([command, text]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err and "error" not in captured.err
+        assert "converged=False" in captured.out or "budget-limited" in captured.out
 
 
 def test_cli_oracle_modulus_beyond_int64(capsys):

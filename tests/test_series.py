@@ -363,3 +363,177 @@ def test_exponential_rows_match_direct_summation():
     box = partial_double_sum(e, s, n) / zeta(s) ** 2
     box_tail = 2.0 * zeta(s) * n ** (1.0 - s) / (s - 1.0) / zeta(s) ** 2
     assert abs(ev.value - box) <= ev.tail_bound + box_tail
+
+
+# ---------------------------------------------------------------------------
+# blocked delimited-row kernel
+# ---------------------------------------------------------------------------
+
+from gaussdens import series  # noqa: E402
+from gaussdens.atoms import compile_set  # noqa: E402
+from gaussdens.dsl import parse_expression  # noqa: E402
+from gaussdens.sets import _HUGE, _LOG_HUGE  # noqa: E402
+
+
+def _reference_bound_floats(b, u):
+    # every row's bound value evaluated in full, with no row skipped
+    if isinstance(b, Constant):
+        k = float(b.k)
+        return np.full(u.shape, k), np.full(u.shape, math.log(k))
+    if isinstance(b, Power):
+        logs = math.log(float(b.c)) + float(b.alpha) * np.log(u)
+        vals = np.exp(np.minimum(logs, _LOG_HUGE))
+        if b.exact_int(1) is not None:
+            exact = float(b.c) * u ** float(b.alpha)
+            vals = np.where(exact < _HUGE, exact, vals)
+    else:
+        logs = math.log(float(b.c)) + u * math.log(float(b.a))
+        vals = np.exp(np.minimum(logs, _LOG_HUGE))
+    r = np.round(vals)
+    return np.where(np.abs(vals - r) <= 1e-9, r, vals), logs
+
+
+def _reference_tail_at_cut(x, logx, ceil_side, s, an, bn):
+    k = np.maximum((np.ceil(x) - 1.0) if ceil_side else np.floor(x), 0.0)
+    out = np.empty(x.shape)
+    small = k < series._TABLE
+    out[small] = series._tail_table(s, an, bn)[k[small].astype(np.int64)]
+    big = ~small
+    mid_log = np.where(x[big] < 1e15, np.log(x[big] + 0.5 + bn / an), logx[big])
+    out[big] = an ** (-s) * (
+        np.exp((1.0 - s) * mid_log) / (s - 1.0)
+        + 0.5 * np.exp(-s * mid_log)
+        + (s / 12.0) * np.exp(-(s + 1.0) * mid_log)
+        - (series._rising(s, 3) / 720.0) * np.exp(-(s + 3.0) * mid_log)
+    )
+    return out
+
+
+def _reference_direct_rows(atom, s, M, chunk):
+    """The direct rows evaluated one whole chunk at a time, every row in full."""
+    am, bm, an, bn = atom.am, atom.bm, atom.an, atom.bn
+    row_sums, jitter, rows = [], 0.0, 0
+    for lo in range(atom.u_min, M + 1, chunk):
+        u = np.arange(float(lo), float(min(lo + chunk - 1, M)) + 1.0)
+        w = (am * u + bm) ** -s
+        fraw, flog = _reference_bound_floats(atom.lower, u)
+        gvals, glog = _reference_bound_floats(atom.upper, u)
+        fvals = np.maximum(fraw, float(atom.v_min))
+        flog = np.maximum(flog, math.log(float(atom.v_min)))
+        t_lo = _reference_tail_at_cut(fvals, flog, True, s, an, bn)
+        t_hi = _reference_tail_at_cut(gvals, glog, False, s, an, bn)
+        inner = np.where(np.ceil(fvals) <= np.floor(gvals), t_lo - t_hi, 0.0)
+        row_sums.append(float(np.sum(w * inner)))
+        big = np.zeros(u.shape)
+        for vals, logs in ((fvals, flog), (gvals, glog)):
+            sel = vals >= float(series._TABLE)
+            big[sel] += 1.2 * np.exp(-s * (math.log(an) + logs[sel]))
+        jitter += float(np.sum(w * big))
+        rows += u.shape[0]
+    return row_sums, jitter, rows
+
+
+_KERNEL_BANDS = [
+    "delim(const(1),pow(1,2))",
+    "delim(pow(1,1),pow(1,3))",            # integer powers: exact products
+    "delim(pow(1,1/2),pow(1,2))",          # fractional lower side
+    "delim(pow(2,1/2),pow(3,2))",
+    "delim(pow(100,1/2),pow(100,5))",      # lower side leaves the table, upper saturates
+    "delim(const(1),exp(1,2))",            # saturated exponential, all rows underflow
+    "delim(exp(1,2),exp(1,3))",
+    "delim(const(1),exp(2,11/10))",        # underflow starts inside the rows
+    "delim(const(2),exp(2,1001/1000))",    # table, 1e15 and saturation inside the rows
+    "delim(const(12000),exp(12000,2))",    # a constant side past the table
+]
+_KERNEL_VARIANTS = ["{}", "translate({},3,5)", "dilate(2,3,{})", "inter({},upper(6,4))"]
+
+
+def _delim_atom(text):
+    (atom,) = compile_set(parse_expression(text))
+    return atom
+
+
+@pytest.mark.parametrize("band", _KERNEL_BANDS)
+@pytest.mark.parametrize("variant", _KERNEL_VARIANTS)
+def test_direct_rows_equal_the_unblocked_reference(band, variant, monkeypatch):
+    # chunks of 7001 rows and blocks of 1000: 12 chunks, mostly 8 blocks each,
+    # with the bound transitions (table, 1e15, 2^62, underflow) inside blocks
+    monkeypatch.setattr(series, "_CHUNK_ROWS", 7001)
+    monkeypatch.setattr(series, "_BLOCK_ROWS", 1000)
+    atom = _delim_atom(variant.format(band))
+    M = atom.u_min + 80_000
+    for s in (1.5, 1.0078125):
+        want = _reference_direct_rows(atom, s, M, 7001)
+        assert series._direct_rows(atom, s, M) == want
+
+
+def test_kernel_masks_match_the_reference_on_unordered_rows():
+    # bounds grow with the row, so the kernel splits rows at one crossing;
+    # rows out of that order take the general masked path
+    x = np.array([20000.0, 5.5, 3e15, 7.0, 12000.25, 2.0])
+    logx = np.log(x)
+    for s, an, bn in ((1.5, 1, 0), (1.0078125, 3, 2)):
+        for lower in (True, False):
+            got, _ = series._tail_at_cut(x, logx, lower, s, an, bn)
+            assert got.tolist() == _reference_tail_at_cut(x, logx, lower, s, an, bn).tolist()
+        want = np.zeros(x.shape)
+        sel = x >= float(series._TABLE)
+        want[sel] = 1.2 * np.exp(-s * (math.log(an) + logx[sel]))
+        assert series._jitter(x, logx, s, an, None).tolist() == want.tolist()
+
+
+_KERNEL_POINTS = [
+    ("delim(const(1),pow(1,2))", 1.0078125, 1e-5),
+    ("delim(pow(1,1),pow(1,3))", 1.03125, 1e-5),
+    ("delim(pow(1,1/2),pow(1,2))", 1.03125, 1e-5),   # 131k rows
+    ("translate(delim(pow(2,1/2),pow(3,2)),2,5)", 1.03125, 1e-5),
+    ("dilate(3,2,delim(const(1),exp(1,2)))", 1.0001220703125, 1e-4),
+    ("inter(delim(exp(1,2),exp(1,3)),upper(4,7))", 1.0001220703125, 1e-4),
+]
+
+
+def _points(cases):
+    return [(density_at(parse_expression(t), s, eps).value,
+             density_at(parse_expression(t), s, eps).tail_bound,
+             density_at(parse_expression(t), s, eps).terms_used) for t, s, eps in cases]
+
+
+def test_block_size_never_changes_a_point(monkeypatch):
+    default = _points(_KERNEL_POINTS)
+    monkeypatch.setattr(series, "_BLOCK_ROWS", series._CHUNK_ROWS)   # one block per chunk
+    assert _points(_KERNEL_POINTS) == default
+    monkeypatch.setattr(series, "_BLOCK_ROWS", 1000)
+    assert _points(_KERNEL_POINTS) == default
+
+
+def test_block_size_never_changes_a_point_across_chunks(monkeypatch):
+    # 131k direct rows in chunks of 100k: the point spans two chunks
+    monkeypatch.setattr(series, "_CHUNK_ROWS", 100_000)
+    cases = _KERNEL_POINTS[2:3]
+    assert _points(cases)[0][2] > 100_000
+    default = _points(cases)
+    for block in (100_000, 1000, 999):
+        monkeypatch.setattr(series, "_BLOCK_ROWS", block)
+        assert _points(cases) == default
+
+
+def test_em_tail_over_exponents_equals_one_exponent_at_a_time():
+    # at p = 2 the exponent 1 - p is -1, where numpy's scalar x ** -1.0
+    # takes its reciprocal shortcut; with a vector pow, 1/2052 and 1/2063
+    # can come out one unit in the last place away from it
+    ps = [1.0 + 2.0 ** -13, 1.0078125, 1.5, 2.0, 2.5, 3.0, 4.25]
+    for x in (64.0, 2052.0, 2063.0, 1e8 + 1.0):
+        want = [series._em_tail(x, p) for p in ps]
+        assert series._em_tails(x, ps) == want
+
+
+def test_tiny_exponent_band_charges_its_whole_mass():
+    # pow(1, 10^-6) reaches 64 only past row 2^62: no row can meet the target
+    band = parse_expression("delim(pow(1,1/1000000),pow(1,1000000))")
+    with pytest.raises(BudgetExceeded):
+        density_at(band, 1.5, 1e-6)
+    ev = density_at(band, 1.5, 1e-6, loosen=True)
+    assert ev.value == 0.0
+    assert ev.terms_used < 1000
+    # the band lies in the quadrant, whose ratio is 1: the bound covers it
+    assert ev.tail_bound >= 1.0
