@@ -161,17 +161,17 @@ def _em_tail(x, s):
     return r if r.shape else float(r)
 
 
-# exponents for which numpy's x ** e with a scalar e takes a shortcut
-# (reciprocal, square, sqrt, ...) instead of pow
-_POW_SHORTCUTS = frozenset((-1.0, 0.0, 0.5, 1.0, 2.0))
-
-
 def _em_tails(x: float, ps) -> list[float]:
-    """[_em_tail(x, p) for p in ps], bit for bit, in one vectorised pass;
-    an exponent that meets a scalar shortcut is evaluated on its own."""
+    """[_em_tail(x, p) for p in ps], bit for bit, in one vectorised pass.
+
+    numpy's x ** e with a scalar e may replace pow by a shortcut (reciprocal,
+    square, sqrt: at e = -1, 0, 1/2, 1, 2 in current releases), so an exponent
+    p that puts any of _em_tail's powers at an integer or half-integer e is
+    evaluated on its own.
+    """
     out = _em_tail(x, np.array(ps)).tolist()
     for i, p in enumerate(ps):
-        if not _POW_SHORTCUTS.isdisjoint((1.0 - p, -p, -p - 1.0, -p - 3.0, -p - 5.0)):
+        if any((2.0 * e).is_integer() for e in (1.0 - p, -p, -p - 1.0, -p - 3.0, -p - 5.0)):
             out[i] = _em_tail(x, p)
     return out
 
@@ -351,13 +351,6 @@ def _tail_em(x: np.ndarray, logx: np.ndarray, s: float, an: int,
     return t, (e_s if shared else None)
 
 
-def _rise(mask: np.ndarray) -> Optional[int]:
-    """i if mask is False on the rows before i and True from row i on, else
-    None.  A growing bound crosses each threshold once: the usual shape."""
-    i = mask.size - int(np.count_nonzero(mask))
-    return i if mask[i:].all() else None
-
-
 def _tail_at_cut(x: np.ndarray, logx: np.ndarray, ceil_side: bool, s: float,
                  an: int, bn: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """T(cut(x)) where cut = ceil(x)-1 on the lower side, floor(x) above,
@@ -370,20 +363,15 @@ def _tail_at_cut(x: np.ndarray, logx: np.ndarray, ceil_side: bool, s: float,
     k = (np.ceil(x) - 1.0) if ceil_side else np.floor(x)
     k = np.maximum(k, 0.0)
     big = k >= _TABLE
-    i = _rise(big)
-    if i == 0:
+    if big.all():
         return _tail_em(x, logx, s, an, bn)
     table = _tail_table(s, an, bn)
-    if i == k.size:
+    if not big.any():
         return table[k.astype(np.int64)], None
     out = np.empty(k.shape)
-    if i is None:
-        small = ~big
-        out[small] = table[k[small].astype(np.int64)]
-        out[big] = _tail_em(x[big], logx[big], s, an, bn)[0]
-    else:
-        out[:i] = table[k[:i].astype(np.int64)]
-        out[i:] = _tail_em(x[i:], logx[i:], s, an, bn)[0]
+    small = ~big
+    out[small] = table[k[small].astype(np.int64)]
+    out[big] = _tail_em(x[big], logx[big], s, an, bn)[0]
     return out, None
 
 
@@ -392,18 +380,14 @@ def _jitter(vals: np.ndarray, logs: np.ndarray, s: float, an: int,
     """Cut-jitter bound 1.2*(an*b)^(-s) on rows whose bound b passes the
     table (0 elsewhere), or None when no row does."""
     sel = vals >= float(_TABLE)
-    i = _rise(sel)
-    if i == sel.size:
+    if not sel.any():
         return None
     if e_s is not None and an == 1:
         return 1.2 * e_s    # log(1) + logs == logs: the tail's exp(-s*logs)
-    if i == 0:
+    if sel.all():
         return 1.2 * _exp(-s * (math.log(an) + logs))
     out = np.zeros(vals.shape)
-    if i is None:
-        out[sel] = 1.2 * _exp(-s * (math.log(an) + logs[sel]))
-    else:
-        out[i:] = 1.2 * _exp(-s * (math.log(an) + logs[i:]))
+    out[sel] = 1.2 * _exp(-s * (math.log(an) + logs[sel]))
     return out
 
 
@@ -581,9 +565,10 @@ def _delim_required_start(atom: DelimAtom) -> int:
     return m
 
 
-def _eval_delim_atom(atom: DelimAtom, s: float, eps_abs: float,
-                     rows_budget: int) -> tuple[float, float, int, bool]:
-    """(value, error bound, rows used, met) of the atom's double sum."""
+def _eval_delim_atom(atom: DelimAtom, s: float, eps_abs: float, rows_budget: int,
+                     term_budget: int) -> tuple[float, float, int, bool]:
+    """(value, error bound, rows used, met) of the atom's double sum, with
+    rows_budget rows left of the point's term_budget."""
     am, bm, an, bn = atom.am, atom.bm, atom.an, atom.bn
 
     if _const_like(atom.lower) and _const_like(atom.upper):
@@ -597,9 +582,10 @@ def _eval_delim_atom(atom: DelimAtom, s: float, eps_abs: float,
         return band * outer, band * outer_err + 1e-15 * band * outer, terms, True
 
     M = _delim_required_start(atom)
-    if M > rows_budget:
-        # the remainder forms hold only past M: charge the atom's whole mass,
-        # every row and column the cuts allow summed on each axis
+    if M > term_budget:
+        # the remainder forms hold only past M, which the point's whole budget
+        # cannot reach: charge the atom's whole mass, every row and column the
+        # cuts allow summed on each axis
         vo, eo, to = _dsum_1d(Prog(am, am * atom.u_min + bm), s)
         vi, ei, ti = _dsum_1d(Prog(an, an * atom.v_min + bn), s)
         return 0.0, (vo + eo) * (vi + ei) * (1.0 + 1e-15), to + ti, False
@@ -643,7 +629,8 @@ def _eval_gen_atom(atom: GenAtom, s: float, eps_abs: float,
     return value, bound(n), n * n, met
 
 
-def _eval_atom(a, s: float, eps_abs: float, budget: int, axis_sums: dict):
+def _eval_atom(a, s: float, eps_abs: float, budget: int, axis_sums: dict,
+               term_budget: int):
     if isinstance(a, ProdAtom):
         vh, eh, th = axis_sums[a.h]
         vv, ev, tv = axis_sums[a.v]
@@ -652,7 +639,7 @@ def _eval_atom(a, s: float, eps_abs: float, budget: int, axis_sums: dict):
         vals = [(float(m) * float(n)) ** -s for m, n in a.pairs]
         return math.fsum(vals), 1e-15 * len(vals), len(vals), True
     if isinstance(a, DelimAtom):
-        return _eval_delim_atom(a, s, eps_abs, budget)
+        return _eval_delim_atom(a, s, eps_abs, budget, term_budget)
     if isinstance(a, GenAtom):
         return _eval_gen_atom(a, s, eps_abs, budget)
     raise TypeError(a)
@@ -729,7 +716,8 @@ def density_at(
     axis_sums = _axis_sums(atoms, s)   # product atoms share axes
     for atom, coef in atoms.items():
         budget_left = max(term_budget - terms, 0)
-        v, err, t, met = _eval_atom(atom, s, eps_abs, budget_left, axis_sums)
+        v, err, t, met = _eval_atom(atom, s, eps_abs, budget_left, axis_sums,
+                                    term_budget)
         values.append(coef * v)
         errs.append(abs(coef) * err)
         terms += t

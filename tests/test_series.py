@@ -467,9 +467,9 @@ def test_direct_rows_equal_the_unblocked_reference(band, variant, monkeypatch):
         assert series._direct_rows(atom, s, M) == want
 
 
-def test_kernel_masks_match_the_reference_on_unordered_rows():
-    # bounds grow with the row, so the kernel splits rows at one crossing;
-    # rows out of that order take the general masked path
+def test_kernel_masks_match_the_reference_on_mixed_rows():
+    # a block with rows on both sides of the table (and of 1e15), in any order,
+    # takes the masked path
     x = np.array([20000.0, 5.5, 3e15, 7.0, 12000.25, 2.0])
     logx = np.log(x)
     for s, an, bn in ((1.5, 1, 0), (1.0078125, 3, 2)):
@@ -520,8 +520,11 @@ def test_block_size_never_changes_a_point_across_chunks(monkeypatch):
 def test_em_tail_over_exponents_equals_one_exponent_at_a_time():
     # at p = 2 the exponent 1 - p is -1, where numpy's scalar x ** -1.0
     # takes its reciprocal shortcut; with a vector pow, 1/2052 and 1/2063
-    # can come out one unit in the last place away from it
-    ps = [1.0 + 2.0 ** -13, 1.0078125, 1.5, 2.0, 2.5, 3.0, 4.25]
+    # can come out one unit in the last place away from it.  Every integer
+    # and half-integer p, and p next to them, is covered.
+    halves = [k / 2.0 for k in range(3, 15)]
+    ps = [1.0 + 2.0 ** -13, 1.0078125, 4.25] + halves + [
+        math.nextafter(h, d) for h in halves for d in (0.0, math.inf)]
     for x in (64.0, 2052.0, 2063.0, 1e8 + 1.0):
         want = [series._em_tail(x, p) for p in ps]
         assert series._em_tails(x, ps) == want
@@ -537,3 +540,25 @@ def test_tiny_exponent_band_charges_its_whole_mass():
     assert ev.terms_used < 1000
     # the band lies in the quadrant, whose ratio is 1: the bound covers it
     assert ev.tail_bound >= 1.0
+
+
+def test_a_later_band_sums_its_start_when_earlier_atoms_spent_the_budget(monkeypatch):
+    # the first band doubles to 16,388 rows of a 17,000-term budget, leaving
+    # 612; the second band's start (2,048 rows) is within the point's budget,
+    # so it is summed there and meets its target, as with rows to spare
+    text = "union(delim(pow(1,1/2),pow(1,2)),delim(pow(1,1),pow(1,3)))"
+    s, eps, budget = 1.5, 1e-5, 17_000
+    seen = []
+    evaluate = series._eval_delim_atom
+
+    def spy(atom, *args):
+        seen.append((atom, args, evaluate(atom, *args)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(series, "_eval_delim_atom", spy)
+    density_at(parse_expression(text), s, eps, term_budget=budget, loosen=True)
+    (_, _, first), (second, (_, eps_abs, left, _), got) = seen
+    assert first[2:] == (16_388, True)
+    assert left == budget - 16_388 < series._delim_required_start(second)
+    assert got == evaluate(second, s, eps_abs, budget, budget)
+    assert got[2:] == (2048, True)
