@@ -23,6 +23,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -66,6 +67,16 @@ def _int_at_least(minimum: int):
     return parse
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gaussdens",
@@ -78,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("expression", help="set expression in the DSL")
         p.add_argument("--schedule", type=_parse_schedule, default=(0, 6),
                        metavar="k0..k6", help="s-schedule range: s = 1 + 0.5*2^-k")
-        p.add_argument("--eps", type=float, default=1e-6,
+        p.add_argument("--eps", type=_positive_float, default=1e-6,
                        help="per-point tail target (default 1e-6)")
         p.add_argument("--budget", type=_int_at_least(1), default=10 ** 8,
                        help="term budget per evaluation (default 1e8)")

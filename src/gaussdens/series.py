@@ -69,14 +69,19 @@ delimited atom are summed in fixed chunks of ``_CHUNK_ROWS`` (one pairwise
 are evaluated in cache-sized blocks of ``_BLOCK_ROWS`` that write their terms
 into one chunk buffer; every row's term is computed by the same elementwise
 operations whatever block holds it, so the block size never changes a sum.
+A sub-linear power side keeps one integer cut over long runs of rows; its cut
+and inner tail are computed once per run and repeated over the run's rows, so
+no two terms are merged: every row still gets its own product of outer weight
+and inner sum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -169,10 +174,11 @@ def _em_tails(x: float, ps) -> list[float]:
     p that puts any of _em_tail's powers at an integer or half-integer e is
     evaluated on its own.
     """
-    out = _em_tail(x, np.array(ps)).tolist()
-    for i, p in enumerate(ps):
-        if any((2.0 * e).is_integer() for e in (1.0 - p, -p, -p - 1.0, -p - 3.0, -p - 5.0)):
-            out[i] = _em_tail(x, p)
+    p = np.array(ps)
+    out = _em_tail(x, p).tolist()
+    twice = 2.0 * np.array((1.0 - p, -p, -p - 1.0, -p - 3.0, -p - 5.0))
+    for i in np.flatnonzero((twice == np.floor(twice)).any(axis=0)):
+        out[i] = _em_tail(x, ps[i])
     return out
 
 
@@ -271,32 +277,98 @@ _SATURATED.flags.writeable = False
 # exp(z) is exactly 0.0 for z < _EXP_ZERO (the smallest subnormal is
 # exp(-744.4)); np.exp takes a slow path on such arguments, so they are skipped
 _EXP_ZERO = -746.0
-_ZEROS = np.zeros(1)
-_ZEROS.flags.writeable = False
+# a block takes a sub-linear power side once per run of one cut when its runs
+# are at least this many rows long on average
+_RUN_MIN_ROWS = 64
 
 
-def _exp(z: np.ndarray) -> np.ndarray:
-    """np.exp(z) without evaluating arguments that underflow to 0.0."""
-    if z.min() >= _EXP_ZERO:
-        return np.exp(z)
-    live = z >= _EXP_ZERO
-    if not live.any():
-        return _ZEROS
-    out = np.zeros(z.shape)
-    out[live] = np.exp(z[live])
-    return out
+def _coef(q: Fraction) -> tuple[float, float]:
+    """(float(q), log q) of a positive rational.  Past the float range float(q)
+    is inf or 0.0, and log q comes from the numerator and the denominator."""
+    try:
+        f = float(q)
+    except OverflowError:
+        f = math.inf
+    if 0.0 < f < math.inf:
+        return f, math.log(f)
+    return f, math.log(q.numerator) - math.log(q.denominator)
 
 
-def _capped_exp(logs: np.ndarray) -> np.ndarray:
+class _Side(NamedTuple):
+    """A bound function in floats, taken once per atom: c*u^alpha for a Power
+    (alpha 0 for a Constant), c*exp(alpha*u) for an Exponential."""
+
+    kind: type
+    c: float
+    log_c: float
+    alpha: float
+    exact: bool     # an integer power: the exact product until it saturates
+    inv: float      # 1/alpha of a power with 0 < alpha < 1 (its cut keeps runs), else 0
+
+
+@lru_cache(maxsize=256)
+def _side_of(b: BoundFn) -> _Side:
+    if isinstance(b, Exponential):
+        return _Side(Exponential, *_coef(b.c), _coef(b.a)[1], False, 0.0)
+    if isinstance(b, Constant):
+        return _Side(Constant, *_coef(b.k), 0.0, False, 0.0)
+    c, log_c = _coef(b.c)
+    runs = 0 < b.alpha < 1 and 0.0 < c < math.inf
+    return _Side(Power, c, log_c, float(b.alpha), b.exact_int(1) is not None,
+                 float(1 / b.alpha) if runs else 0.0)
+
+
+def _coef_pow(c: float, log_c: float, p: float) -> float:
+    """c ** p for a _coef pair, through log c where c is past the float range."""
+    return c ** p if 0.0 < c < math.inf else math.exp(p * log_c)
+
+
+def _buffers(pool: Optional[list], n: int):
+    """Arrays of n floats to write into: the rows of pool, then new rows that
+    join it (or, without a pool, new arrays that none keeps).  The blocks of
+    one atom share a pool: a freed row-length temporary costs page faults
+    when the allocator hands its pages back."""
+    while pool is None:
+        yield np.empty(n)
+    for i, row in enumerate(pool):
+        if row.shape[0] < n:
+            row = pool[i] = np.empty(n)
+        yield row[:n]
+    while True:
+        pool.append(np.empty(n))
+        yield pool[-1]
+
+
+def _out(a: np.ndarray, buf):
+    """A buffer for an elementwise result of a, or None (a new array) when a
+    is one value standing for every row."""
+    return next(buf) if a.shape[0] > 1 else None
+
+
+def _exp_into(z: np.ndarray, live: bool = False) -> np.ndarray:
+    """z = exp(z) in place, without evaluating arguments that underflow to
+    0.0, unless every argument is known to be live (>= _EXP_ZERO)."""
+    if live or z.min() >= _EXP_ZERO:
+        return np.exp(z, out=z)
+    alive = z >= _EXP_ZERO
+    e = np.exp(z[alive])
+    z.fill(0.0)
+    z[alive] = e
+    return z
+
+
+def _capped_exp(logs: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """exp(min(logs, log 2^62)); one value when every row saturates."""
     if logs.min() >= _LOG_HUGE:
         return _SATURATED
-    return np.exp(np.minimum(logs, _LOG_HUGE))
+    capped = np.minimum(logs, _LOG_HUGE, out=out)
+    return np.exp(capped, out=capped)
 
 
-def _bound_floats(b: BoundFn, u: np.ndarray,
-                  logu: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Bound values at rows u (snapped, capped at 2^62) and their true logs.
+def _bound_floats(b: _Side, u: np.ndarray, logu: Optional[np.ndarray],
+                  buf) -> tuple[np.ndarray, np.ndarray]:
+    """Bound values at ascending rows u (snapped, capped at 2^62) and their
+    true logs, written into buffers from buf.
 
     ``logu`` is log(u), shared by both sides of a power band.  A result of
     length 1 stands for every row: a constant bound, or one saturated on the
@@ -304,70 +376,106 @@ def _bound_floats(b: BoundFn, u: np.ndarray,
     tails through x^(1-s) = exp((1-s) log x) and the one-unit cut jitter is
     below every tolerance there.
     """
-    if isinstance(b, Constant):
-        k = float(b.k)
-        vals, logs = np.array([k]), np.array([math.log(k)])
-    elif isinstance(b, Power):
-        logs = math.log(float(b.c)) + float(b.alpha) * logu
-        if b.exact_int(1) is not None:
-            # the exact product; exp(logs) only where it saturates
-            vals = float(b.c) * u ** float(b.alpha)
+    if b.kind is Constant:
+        vals, logs = np.array([b.c]), np.array([b.log_c])
+    elif b.kind is Power:
+        logs = np.multiply(b.alpha, logu, out=next(buf))
+        logs += b.log_c
+        # the exact product, with exp(logs) only where it saturates; a block
+        # whose first row is past 2^62 by a factor e (far more than rounding
+        # in these logs) saturates on every row
+        head = b.log_c + b.alpha * math.log(float(u[0]))
+        if b.exact and head < _LOG_HUGE + 1.0 + 1e-12 * abs(head):
+            vals = np.multiply(b.c, u ** b.alpha, out=next(buf))
             sat = vals >= _HUGE
             if sat.any():
                 vals[sat] = _capped_exp(logs[sat])
         else:
-            vals = _capped_exp(logs)
+            vals = _capped_exp(logs, next(buf))
     else:
-        assert isinstance(b, Exponential)
-        logs = math.log(float(b.c)) + u * math.log(float(b.a))
-        vals = _capped_exp(logs)
+        logs = np.multiply(u, b.alpha, out=next(buf))
+        logs += b.log_c
+        vals = _capped_exp(logs, next(buf))
     if vals.min() >= 2.0 ** 52:     # every such float is an integer already
         return vals, logs
-    r = np.round(vals)
-    return np.where(np.abs(vals - r) <= 1e-9, r, vals), logs
+    r = np.round(vals, out=_out(vals, buf))
+    d = np.subtract(vals, r, out=_out(vals, buf))
+    np.abs(d, out=d)
+    np.copyto(r, vals, where=d > 1e-9)
+    return r, logs
 
 
-def _tail_em(x: np.ndarray, logx: np.ndarray, s: float, an: int,
-             bn: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
+def _tail_em(x: np.ndarray, logx: np.ndarray, s: float, an: int, bn: int,
+             buf=None) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Midpoint EM form of T at cut points past the table, and exp(-s*logx)
     when the form was taken at logx on every row (else None)."""
-    exp, shared = _exp, False
+    if buf is None:
+        buf = _buffers(None, logx.shape[0])
+    shared = False
     if x.max() < 1e15:
-        # mid_log < 35: the exponentials below underflow only for s > 18
-        mid_log, exp = np.log(x + 0.5 + bn / an), np.exp
+        mid_log = np.add(x, 0.5, out=_out(x, buf))
+        mid_log += bn / an
+        np.log(mid_log, out=mid_log)
     else:
         near = x < 1e15
         shared = not near.any()
         mid_log = logx if shared else np.where(near, np.log(x + 0.5 + bn / an), logx)
-    e_s = exp(-s * mid_log)
-    t = (
-        exp((1.0 - s) * mid_log) / (s - 1.0)
-        + 0.5 * e_s
-        + (s / 12.0) * exp(-(s + 1.0) * mid_log)
-        - (_rising(s, 3) / 720.0) * exp(-(s + 3.0) * mid_log)
-    )
+    # cuts past the table: mid_log > 0, so coef * mid_log (coef < 0) is
+    # extreme at the extremes of mid_log, which settle each term's underflow
+    lo, hi = mid_log.min(), mid_log.max()
+    if (1.0 - s) * lo < _EXP_ZERO:
+        # every exponential below underflows to 0.0
+        return np.zeros(1), (np.zeros(1) if shared else None)
+
+    def exp(coef: float, out: np.ndarray) -> Optional[np.ndarray]:
+        """exp(coef * mid_log) into out; None when every value is 0.0."""
+        if coef * lo < _EXP_ZERO:
+            return None
+        return _exp_into(np.multiply(coef, mid_log, out=out), coef * hi >= _EXP_ZERO)
+
+    t, e_s, tmp = next(buf), next(buf), next(buf)
+    exp(1.0 - s, t)
+    t /= s - 1.0
+    # a term that is 0.0 on every row leaves t as it is
+    e_s = exp(-s, e_s)
+    if e_s is not None:
+        t += np.multiply(0.5, e_s, out=tmp)
+    if exp(-(s + 1.0), tmp) is not None:
+        tmp *= s / 12.0
+        t += tmp
+    if exp(-(s + 3.0), tmp) is not None:
+        tmp *= _rising(s, 3) / 720.0
+        t -= tmp
     if an != 1:
-        t = an ** (-s) * t
-    return t, (e_s if shared else None)
+        t *= an ** (-s)
+    if not shared:
+        return t, None
+    return t, (np.zeros(1) if e_s is None else e_s)
 
 
 def _tail_at_cut(x: np.ndarray, logx: np.ndarray, ceil_side: bool, s: float,
-                 an: int, bn: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
+                 an: int, bn: int, key: Optional[np.ndarray] = None,
+                 buf=None) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """T(cut(x)) where cut = ceil(x)-1 on the lower side, floor(x) above,
-    with _tail_em's exp(-s*logx) (or None).
+    with _tail_em's exp(-s*logx) (or None).  ``key`` is ceil(x) or floor(x)
+    if the caller has it already.
 
     Exact (tabulated) below _TABLE; smooth midpoint EM form above, whose
     per-row error is covered by the caller's jitter budget; log-space EM once
     the bound leaves the exactly representable range.
     """
-    k = (np.ceil(x) - 1.0) if ceil_side else np.floor(x)
-    k = np.maximum(k, 0.0)
+    if buf is None:
+        buf = _buffers(None, x.shape[0])
+    if key is None:
+        key = np.ceil(x) if ceil_side else np.floor(x)
+    k = np.subtract(key, 1.0, out=_out(key, buf)) if ceil_side else key
+    k = np.maximum(k, 0.0, out=_out(k, buf))
     big = k >= _TABLE
     if big.all():
-        return _tail_em(x, logx, s, an, bn)
+        return _tail_em(x, logx, s, an, bn, buf)
     table = _tail_table(s, an, bn)
     if not big.any():
-        return table[k.astype(np.int64)], None
+        return np.take(table, k.astype(np.int64), out=_out(k, buf), mode="clip"), None
     out = np.empty(k.shape)
     small = ~big
     out[small] = table[k[small].astype(np.int64)]
@@ -378,63 +486,169 @@ def _tail_at_cut(x: np.ndarray, logx: np.ndarray, ceil_side: bool, s: float,
 def _jitter(vals: np.ndarray, logs: np.ndarray, s: float, an: int,
             e_s: Optional[np.ndarray]) -> Optional[np.ndarray]:
     """Cut-jitter bound 1.2*(an*b)^(-s) on rows whose bound b passes the
-    table (0 elsewhere), or None when no row does."""
+    table (0 elsewhere), or None when no row does.  A given e_s (the tail's
+    exp(-s*logs)) is overwritten."""
     sel = vals >= float(_TABLE)
     if not sel.any():
         return None
     if e_s is not None and an == 1:
-        return 1.2 * e_s    # log(1) + logs == logs: the tail's exp(-s*logs)
+        # log(1) + logs == logs: the tail's exp(-s*logs)
+        return np.multiply(1.2, e_s, out=e_s)
     if sel.all():
-        return 1.2 * _exp(-s * (math.log(an) + logs))
+        return 1.2 * _exp_into(-s * (math.log(an) + logs))
     out = np.zeros(vals.shape)
-    out[sel] = 1.2 * _exp(-s * (math.log(an) + logs[sel]))
+    out[sel] = 1.2 * _exp_into(-s * (math.log(an) + logs[sel]))
     return out
 
 
-def _side_rows(b: BoundFn, u, logu, lower: bool, v_min: int, s: float, an: int,
-               bn: int) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """(bound values, T at the cut, cut-jitter or None) of one side on rows u;
-    the lower side is cut at v_min."""
-    vals, logs = _bound_floats(b, u, logu)
+def _side_rows(b: _Side, u, logu, lower: bool, v_min: int, s: float, an: int,
+               bn: int, buf) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """(cut keys, T at the cut, cut-jitter or None) of one side on rows u.
+    The keys are ceil of the lower value, which is cut at v_min, and floor of
+    the upper value."""
+    vals, logs = _bound_floats(b, u, logu, buf)
+    if lower:
+        vals = np.maximum(vals, float(v_min), out=_out(vals, buf))
+        logs = np.maximum(logs, math.log(float(v_min)), out=_out(logs, buf))
+    key = (np.ceil if lower else np.floor)(vals, out=_out(vals, buf))
+    t, e_s = _tail_at_cut(vals, logs, lower, s, an, bn, key, buf)
+    return key, t, _jitter(vals, logs, s, an, e_s)
+
+
+def _cut_keys(b: _Side, u: np.ndarray, lower: bool,
+              v_min: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cut keys _side_rows gives a power side on rows u, and its values."""
+    vals, _ = _bound_floats(b, u, np.log(u), _buffers(None, u.shape[0]))
     if lower:
         vals = np.maximum(vals, float(v_min))
-        logs = np.maximum(logs, math.log(float(v_min)))
-    t, e_s = _tail_at_cut(vals, logs, lower, s, an, bn)
-    return vals, t, _jitter(vals, logs, s, an, e_s)
+        return np.ceil(vals), vals
+    return np.floor(vals), vals
+
+
+def _first_row(b: _Side, u: np.ndarray, lower: bool, v_min: int, level: float) -> float:
+    """The first row of u whose cut key reaches level, which the last row's
+    does and the first row's does not (bisection)."""
+    lo, hi = 0, u.shape[0] - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _cut_keys(b, u[mid:mid + 1], lower, v_min)[0][0] >= level:
+            hi = mid
+        else:
+            lo = mid
+    return u[hi]
+
+
+def _level_start(b: _Side, level, lower: bool):
+    """Where the cut key of a power side reaches level, by inverting c*u^alpha:
+    ceil(c*u^alpha) >= q once c*u^alpha > q-1, floor(c*u^alpha) >= q once it
+    is >= q."""
+    if lower:
+        return np.floor(((level - 1.0) / b.c) ** b.inv) + 1.0
+    return np.ceil((level / b.c) ** b.inv)
+
+
+def _side_runs(b: _Side, u: np.ndarray, lower: bool, v_min: int, s: float,
+               an: int, bn: int, buf, known: list):
+    """_side_rows of a power side with 0 < alpha < 1, taken once per run of
+    rows that share one cut, or None where its value reaches the table's end
+    or its runs are short.
+
+    The key grows with the row, so the ends of the block fix its levels.  The
+    first row of each later level is found by inverting c*u^alpha and then
+    pinned with the keys themselves: snapping moves a boundary off the exact
+    one, so a guess the keys refute is replaced by bisection.  Blocks come in
+    ascending order, and ``known`` is [end, key, T] when every row from the
+    last block's last row up to end - 1 keeps that block's last key.
+    """
+    if known and u[-1] < known[0]:
+        return known[1], known[2], None
+    # plain floats first: a block that ends far past the table or climbs many
+    # levels skips the probe, which alone decides for the others
+    top = b.c * float(u[-1]) ** b.alpha
+    if top > 2 * _TABLE or (top - b.c * float(u[0]) ** b.alpha) * _RUN_MIN_ROWS > u.shape[0]:
+        return None
+    keys, vals = _cut_keys(b, u[[0, -1]], lower, v_min)
+    if vals[-1] >= _TABLE:      # (also where one saturated value stands for both ends)
+        return None
+    k0, k1 = keys
+    if (k1 - k0) * _RUN_MIN_ROWS > u.shape[0]:
+        return None
+    levels = np.arange(k0 + 1.0, k1 + 2.0)     # the block's later levels and the next
+    first = np.maximum(_level_start(b, levels, lower), u[0] + 1.0)
+    first[:-1] = np.minimum(first[:-1], u[-1])
+    probe, _ = _cut_keys(b, np.concatenate((first - 1.0, first)), lower, v_min)
+    n = levels.shape[0]
+    pinned = (probe[:n] < levels) & (probe[n:] >= levels)
+    for i in np.flatnonzero(~pinned[:-1]):
+        first[i] = _first_row(b, u, lower, v_min, levels[i])
+    keys = np.concatenate((keys[:1], levels[:-1]))
+    t = _tail_table(s, an, bn)[np.maximum(keys - 1.0 if lower else keys, 0.0).astype(np.int64)]
+    known.clear()
+    if pinned[-1] and k1 < _TABLE:
+        # rows up to the next level's first row keep the last key, below the table
+        known.extend((first[-1], keys[-1:], t[-1:]))
+    if n == 1:
+        return keys, t, None
+    # run number of every row: +1 at each run's first row, summed up
+    run = next(buf).view(np.int64)
+    run.fill(0)
+    np.add.at(run, (first[:-1] - u[0]).astype(np.int64), 1)
+    np.cumsum(run, out=run)
+    return (np.take(keys, run, out=next(buf), mode="clip"),
+            np.take(t, run, out=next(buf), mode="clip"), None)
 
 
 @lru_cache(maxsize=512)
-def _constant_side(b: Constant, lower: bool, v_min: int, s: float, an: int,
+def _constant_side(b: _Side, lower: bool, v_min: int, s: float, an: int,
                    bn: int) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """_side_rows of a constant bound: one value for every row of every block
     (read-only, since every caller shares it)."""
-    side = _side_rows(b, None, None, lower, v_min, s, an, bn)
+    side = _side_rows(b, None, None, lower, v_min, s, an, bn, _buffers(None, 1))
     for a in side:
         if a is not None:
             a.flags.writeable = False
     return side
 
 
-def _row_block(atom: DelimAtom, s: float, u: np.ndarray):
-    """(w, inner, jitter) on rows u: the outer weight (am*u+bm)^(-s), the
-    inner range sum and the cut-jitter bound (None if 0 on every row)."""
+def _row_block(atom: DelimAtom, s: float, u: np.ndarray, pool=None, sides=None,
+               runs=None):
+    """(w, inner, jitter) on ascending rows u: the outer weight (am*u+bm)^(-s),
+    the inner range sum and the cut-jitter bound (None if 0 on every row).
+
+    Row-length arrays are written into the rows of ``pool`` (see _buffers),
+    so the results hold until the next call with the same pool.
+    ``sides`` is (_side_of(atom.lower), _side_of(atom.upper)), and ``runs``
+    the run each side's earlier blocks found (see _side_runs).
+    """
     am, bm, an, bn = atom.am, atom.bm, atom.an, atom.bn
-    w = (u if (am, bm) == (1, 0) else am * u + bm) ** -s
-    logu = np.log(u) if Power in (type(atom.lower), type(atom.upper)) else None
-    sides = []
-    for b, lower in ((atom.lower, True), (atom.upper, False)):
-        if isinstance(b, Constant):
-            sides.append(_constant_side(b, lower, atom.v_min, s, an, bn))
-        else:
-            sides.append(_side_rows(b, u, logu, lower, atom.v_min, s, an, bn))
-    (fvals, t_lo, jit_lo), (gvals, t_hi, jit_hi) = sides
-    ok = np.ceil(fvals) <= np.floor(gvals)
-    inner = t_lo - t_hi
-    if not ok.all():
-        inner = np.where(ok, inner, 0.0)
+    buf = _buffers(pool, u.shape[0])
+    w = next(buf)
+    if (am, bm) == (1, 0):
+        np.power(u, -s, out=w)
+    else:
+        np.multiply(am, u, out=w)
+        w += bm
+        np.power(w, -s, out=w)
+    logu = None
+    rows = []
+    sides = sides or (_side_of(atom.lower), _side_of(atom.upper))
+    for b, lower, known in zip(sides, (True, False), runs or ([], [])):
+        if b.kind is Constant:
+            rows.append(_constant_side(b, lower, atom.v_min, s, an, bn))
+            continue
+        side = _side_runs(b, u, lower, atom.v_min, s, an, bn, buf, known) if b.inv else None
+        if side is None:
+            if logu is None and b.kind is Power:
+                logu = np.log(u, out=next(buf))
+            side = _side_rows(b, u, logu, lower, atom.v_min, s, an, bn, buf)
+        rows.append(side)
+    (k_lo, t_lo, jit_lo), (k_hi, t_hi, jit_hi) = rows
+    inner = np.subtract(t_lo, t_hi, out=next(buf))
+    if k_lo.max() > k_hi.min():     # some row is empty
+        np.copyto(inner, 0.0, where=k_lo > k_hi)
     if jit_lo is None or jit_hi is None:
         return w, inner, (jit_hi if jit_lo is None else jit_lo)
-    return w, inner, jit_lo + jit_hi
+    return w, inner, np.add(jit_lo, jit_hi, out=next(buf))
 
 
 def _direct_rows(atom: DelimAtom, s: float, M: int) -> tuple[list[float], float, int]:
@@ -447,6 +661,9 @@ def _direct_rows(atom: DelimAtom, s: float, M: int) -> tuple[list[float], float,
     rows = max(M - atom.u_min + 1, 0)
     prod = np.empty(min(rows, _CHUNK_ROWS))
     jit = np.empty(prod.shape)
+    pool = [] if rows > _BLOCK_ROWS else None     # a pool pays once blocks reuse it
+    sides = (_side_of(atom.lower), _side_of(atom.upper))
+    runs = ([], [])
     row_sums: list[float] = []
     jitter = 0.0
     for lo in range(atom.u_min, M + 1, _CHUNK_ROWS):
@@ -455,7 +672,8 @@ def _direct_rows(atom: DelimAtom, s: float, M: int) -> tuple[list[float], float,
         for b0 in range(lo, hi + 1, _BLOCK_ROWS):
             b1 = min(b0 + _BLOCK_ROWS - 1, hi)
             i, j = b0 - lo, b1 - lo + 1
-            w, inner, big = _row_block(atom, s, np.arange(float(b0), float(b1) + 1.0))
+            u = np.arange(float(b0), float(b1) + 1.0)
+            w, inner, big = _row_block(atom, s, u, pool, sides, runs)
             np.multiply(w, inner, out=prod[i:j])
             if big is None:
                 jit[i:j] = 0.0
@@ -479,16 +697,21 @@ def _crossover_u(b: BoundFn, target: float) -> int:
     saturates at _HUGE, past any row budget."""
     if isinstance(b, Constant):
         return 1
+    c, log_c = _coef(b.c)
+    inside = 0.0 < c < math.inf     # else only log c is at hand
     if isinstance(b, Power):
         if b.alpha == 0:
             return 1
-        c, al = float(b.c), float(b.alpha)
-        if math.log(target / c) >= _LOG_HUGE * al:
+        al = float(b.alpha)
+        log_ratio = math.log(target / c) if inside else math.log(target) - log_c
+        if log_ratio >= _LOG_HUGE * al:
             return _HUGE
-        return max(1, int(math.ceil((target / c) ** (1.0 / al))) + 1)
+        root = (target / c) ** (1.0 / al) if inside else math.exp(log_ratio / al)
+        return max(1, int(math.ceil(root)) + 1)
     assert isinstance(b, Exponential)
-    c, base = float(b.c), float(b.a)
-    log_ratio, log_base = math.log(max(target / c, 1.0)), math.log(base)
+    log_ratio = (math.log(max(target / c, 1.0)) if inside
+                 else max(math.log(target) - log_c, 0.0))
+    log_base = _coef(b.a)[1]
     if log_ratio >= _HUGE * log_base:
         return _HUGE
     return max(1, int(math.ceil(log_ratio / log_base)) + 1)
@@ -516,13 +739,15 @@ def _delim_rem_terms(side: BoundFn, sign: float, atom: DelimAtom, s: float,
         return sign * t_const * outer, err
 
     if isinstance(side, Exponential):
-        c, base = float(side.c), float(side.a)
-        rho = base ** (-d)
-        lead = (1.5 / d + 1.0) * c ** (1.0 - s)
+        c, log_c = _coef(side.c)
+        rho = _coef(side.a)[0] ** (-d)
+        lead = (1.5 / d + 1.0) * _coef_pow(c, log_c, 1.0 - s)
         geo = lead * (M + 1.0) ** (-s) * rho ** (M + 1) / max(1.0 - rho, 1e-300)
         return 0.0, scale * geo
 
-    c, al = map(float, power_form(side))
+    c, log_c = _coef(side.c)
+    al = float(side.alpha)
+    c_1s, c_s = _coef_pow(c, log_c, 1.0 - s), _coef_pow(c, log_c, -s)   # c^(1-s), c^-s
     # h(p) = sum_{u>M} u^(-p) at every exponent p the terms below use, in one pass
     ps = (s + al * d, s + 1.0 + al * d, s + al + al * d, s + al * s,
           s + al * (s + 1.0), s * (1.0 + al), s + al * d + 2 * al, s + al * s + al,
@@ -532,23 +757,23 @@ def _delim_rem_terms(side: BoundFn, sign: float, atom: DelimAtom, s: float,
     # value terms: leading, outer linear correction, inner shift correction,
     # half step, first Bernoulli step
     val = (
-        c ** (1.0 - s) / d * h(s + al * d)
-        - s * btil * c ** (1.0 - s) / d * h(s + 1.0 + al * d)
-        - (beta_til + 0.5) * c ** (-s) * h(s + al + al * d)
-        + 0.5 * c ** (-s) * h(s + al * s)
-        + (s / 12.0) * c ** (-s - 1.0) * h(s + al * (s + 1.0))
+        c_1s / d * h(s + al * d)
+        - s * btil * c_1s / d * h(s + 1.0 + al * d)
+        - (beta_til + 0.5) * c_s * h(s + al + al * d)
+        + 0.5 * c_s * h(s + al * s)
+        + (s / 12.0) * _coef_pow(c, log_c, -s - 1.0) * h(s + al * (s + 1.0))
     )
     err = (
-        0.7 * 2.0 ** s * c ** (-s) * h(s * (1.0 + al))                      # cut jitter
-        + c ** (1.0 - s) * ((beta_til + 0.5) / c) ** 2 * h(s + al * d + 2 * al)
-        + 0.5 * s * c ** (-s) * (beta_til + 0.5) / c * h(s + al * s + al)
-        + s * btil * c ** (-s) * (beta_til + 1.5) * h(s + 1.0 + al * s)
+        0.7 * 2.0 ** s * c_s * h(s * (1.0 + al))                     # cut jitter
+        + c_1s * ((beta_til + 0.5) / c) ** 2 * h(s + al * d + 2 * al)
+        + 0.5 * s * c_s * (beta_til + 0.5) / c * h(s + al * s + al)
+        + s * btil * c_s * (beta_til + 1.5) * h(s + 1.0 + al * s)
         + 0.5 * s * (s + 1.0) * btil ** 2 * (
-            c ** (1.0 - s) / d * h(s + 2.0 + al * d)
-            + 2.0 * c ** (-s) * h(s + 2.0 + al * s)
+            c_1s / d * h(s + 2.0 + al * d)
+            + 2.0 * c_s * h(s + 2.0 + al * s)
         )
-        + _rising(s, 3) / 480.0 * c ** (-s - 3.0) * h(s + al * (s + 3.0))
-        + (s / 12.0) * (s + 1.0) * (beta_til + 0.5) / c * c ** (-s - 1.0)
+        + _rising(s, 3) / 480.0 * _coef_pow(c, log_c, -s - 3.0) * h(s + al * (s + 3.0))
+        + (s / 12.0) * (s + 1.0) * (beta_til + 0.5) / c * _coef_pow(c, log_c, -s - 1.0)
         * h(s + al * (s + 1.0) + al)
     )
     return sign * scale * val, scale * err

@@ -1,6 +1,7 @@
 """DSL parsing, printing, and the command-line front end."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -249,7 +250,8 @@ def test_cli_strict_nonconvergent_exit(capsys):
 
 
 def test_cli_engine_error_exit(capsys):
-    code = main(["sweep", "P2", "--eps", "-1"])
+    # seven scheduled points cannot carry a degree-9 fit
+    code = main(["estimate", "P2", "--degree", "9"])
     assert code == 1
     assert "engine error" in capsys.readouterr().err
 
@@ -261,6 +263,11 @@ def test_cli_engine_error_exit(capsys):
     ["oracle", "P2", "--N", "0"],
     ["sweep", "P2", "--points", "1"],
     ["exact", "P2", "--budget", "many"],
+    ["sweep", "P2", "--eps", "-1"],
+    ["estimate", "P2", "--eps", "0"],
+    ["estimate", "P2", "--eps", "nan"],
+    ["compare", "P2", "--eps", "inf"],
+    ["estimate", "P2", "--eps", "small"],
 ])
 def test_cli_numeric_flags_validated(argv, capsys):
     with pytest.raises(SystemExit) as exit_info:
@@ -277,6 +284,18 @@ def test_cli_tiny_exponent_band_is_unmet_not_a_crash(capsys):
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err and "error" not in captured.err
         assert "converged=False" in captured.out or "budget-limited" in captured.out
+
+
+def test_cli_coefficient_beyond_the_float_range(capsys):
+    c = 10 ** 400
+    text = f"delim(pow({c},1/2),pow({c},2))"
+    assert main(["estimate", text, "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and "error" not in captured.err
+    points = json.loads(captured.out)["points"]
+    assert points and all(0.0 <= float(p["tail_bound"]) < math.inf for p in points)
+    assert main(["exact", text]) == 0
+    assert "density   = 1/3" in capsys.readouterr().out
 
 
 def test_cli_oracle_modulus_beyond_int64(capsys):

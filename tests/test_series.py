@@ -1,5 +1,6 @@
 """Series engine: zeta, range sums, truncated double sums, tail bounds."""
 
+import dataclasses
 import math
 from fractions import Fraction
 from functools import reduce
@@ -444,6 +445,11 @@ _KERNEL_BANDS = [
     "delim(const(1),exp(2,11/10))",        # underflow starts inside the rows
     "delim(const(2),exp(2,1001/1000))",    # table, 1e15 and saturation inside the rows
     "delim(const(12000),exp(12000,2))",    # a constant side past the table
+    "delim(pow(1,1/3),pow(1,3))",          # lower cut constant over runs of rows
+    "delim(pow(1,1/4),pow(1,4))",
+    "delim(const(1),pow(3,1/2))",          # a fractional upper side
+    "delim(pow(7/3,2/5),pow(3,2))",        # a rational coefficient
+    "delim(pow(1,1/2),pow(1,1000))",       # an exact power past the float range
 ]
 _KERNEL_VARIANTS = ["{}", "translate({},3,5)", "dilate(2,3,{})", "inter({},upper(6,4))"]
 
@@ -480,6 +486,66 @@ def test_kernel_masks_match_the_reference_on_mixed_rows():
         sel = x >= float(series._TABLE)
         want[sel] = 1.2 * np.exp(-s * (math.log(an) + logx[sel]))
         assert series._jitter(x, logx, s, an, None).tolist() == want.tolist()
+
+
+def _reference_row_block(atom, s, u):
+    """(w, inner, jitter) of every row in full, as _reference_direct_rows."""
+    an, bn = atom.an, atom.bn
+    w = (atom.am * u + atom.bm) ** -s
+    fraw, flog = _reference_bound_floats(atom.lower, u)
+    gvals, glog = _reference_bound_floats(atom.upper, u)
+    fvals = np.maximum(fraw, float(atom.v_min))
+    flog = np.maximum(flog, math.log(float(atom.v_min)))
+    t_lo = _reference_tail_at_cut(fvals, flog, True, s, an, bn)
+    t_hi = _reference_tail_at_cut(gvals, glog, False, s, an, bn)
+    inner = np.where(np.ceil(fvals) <= np.floor(gvals), t_lo - t_hi, 0.0)
+    big = np.zeros(u.shape)
+    for vals, logs in ((fvals, flog), (gvals, glog)):
+        sel = vals >= float(series._TABLE)
+        big[sel] += 1.2 * np.exp(-s * (math.log(an) + logs[sel]))
+    return w, inner, big
+
+
+def _block_matches_reference(atom, s, u):
+    w, inner, jitter = series._row_block(atom, s, u)
+    want = _reference_row_block(atom, s, u)
+    got = (w, inner, np.zeros(u.shape) if jitter is None else jitter)
+    return all(np.array_equal(np.broadcast_to(g, u.shape), x) for g, x in zip(got, want))
+
+
+@pytest.mark.parametrize("variant", ["{}", "translate({},3,5)", "inter({},upper(6,650))"])
+def test_row_block_where_snapping_moves_a_run_boundary(variant):
+    # (630^4 + j)^(1/4) - 630 is about j * 1.0e-9: the lower value snaps back
+    # to 630 one row past 630^4, so the first row of cut 631 lies past the
+    # inverse's guess and the block must find it by bisection
+    atom = _delim_atom(variant.format("delim(pow(1,1/4),pow(1,4))"))
+    base = 630.0 ** 4
+    assert series._cut_keys(series._side_of(atom.lower), np.array([base + 1.0]), True, 1)[0][0] == 630.0
+    for lo, hi in ((-500, 500), (-3, 2), (1, 40), (-1000, 0)):
+        u = np.arange(base + lo, base + hi + 1.0)
+        for s in (1.5, 1.03125):
+            assert _block_matches_reference(atom, s, u)
+
+
+@pytest.mark.parametrize("band", ["delim(pow(1,1/2),pow(1,3))", "delim(const(1),pow(1,1/2))",
+                                  "dilate(2,3,delim(pow(1,1/2),pow(1,2)))"])
+def test_row_block_where_the_value_lands_on_the_table_end(band, monkeypatch):
+    # sqrt(10^8) is exactly _TABLE: that row's cut leaves the table and takes
+    # a jitter term, the row before it does not
+    atom = _delim_atom(band)
+    edge = float(series._TABLE) ** 2
+    for lo, hi in ((-1000, -1), (-1000, 0), (0, 999), (-1, 1)):
+        u = np.arange(edge + lo, edge + hi + 1.0)
+        for s in (1.5, 1.03125):
+            assert _block_matches_reference(atom, s, u)
+    # the same rows in blocks of 1000 that carry their runs from block to
+    # block, one of them ending on the edge row
+    monkeypatch.setattr(series, "_CHUNK_ROWS", 7001)
+    monkeypatch.setattr(series, "_BLOCK_ROWS", 1000)
+    atom = dataclasses.replace(atom, u_min=int(edge) - 5999)
+    for s in (1.5, 1.03125):
+        M = atom.u_min + 11_000
+        assert series._direct_rows(atom, s, M) == _reference_direct_rows(atom, s, M, 7001)
 
 
 _KERNEL_POINTS = [
@@ -528,6 +594,19 @@ def test_em_tail_over_exponents_equals_one_exponent_at_a_time():
     for x in (64.0, 2052.0, 2063.0, 1e8 + 1.0):
         want = [series._em_tail(x, p) for p in ps]
         assert series._em_tails(x, ps) == want
+
+
+def test_coefficient_beyond_the_float_range():
+    # past the float range only log c is at hand; the leading terms scale as
+    # c^(1-s), so the band at c = 10^400 is the band at 10^300 times 10^(100(1-s))
+    def band(c):
+        return parse_expression(f"delim(pow({c},1/2),pow({c},2))")
+    for s in (1.5, 1.03125):
+        far = density_at(band(Fraction(10 ** 401, 3)), s, 1e-5)
+        near = density_at(band(Fraction(10 ** 301, 3)), s, 1e-5)
+        want = near.value * 10.0 ** (100 * (1 - s))
+        assert far.value == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert 0.0 < far.tail_bound < 1e-5
 
 
 def test_tiny_exponent_band_charges_its_whole_mass():
