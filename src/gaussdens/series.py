@@ -174,11 +174,10 @@ def _em_tails(x: float, ps) -> list[float]:
     p that puts any of _em_tail's powers at an integer or half-integer e is
     evaluated on its own.
     """
-    p = np.array(ps)
-    out = _em_tail(x, p).tolist()
-    twice = 2.0 * np.array((1.0 - p, -p, -p - 1.0, -p - 3.0, -p - 5.0))
-    for i in np.flatnonzero((twice == np.floor(twice)).any(axis=0)):
-        out[i] = _em_tail(x, ps[i])
+    out = _em_tail(x, np.array(ps)).tolist()
+    for i, p in enumerate(ps):
+        if any((2.0 * e).is_integer() for e in (1.0 - p, -p, -p - 1.0, -p - 3.0, -p - 5.0)):
+            out[i] = _em_tail(x, p)
     return out
 
 
@@ -323,28 +322,6 @@ def _coef_pow(c: float, log_c: float, p: float) -> float:
     return c ** p if 0.0 < c < math.inf else math.exp(p * log_c)
 
 
-def _buffers(pool: Optional[list], n: int):
-    """Arrays of n floats to write into: the rows of pool, then new rows that
-    join it (or, without a pool, new arrays that none keeps).  The blocks of
-    one atom share a pool: a freed row-length temporary costs page faults
-    when the allocator hands its pages back."""
-    while pool is None:
-        yield np.empty(n)
-    for i, row in enumerate(pool):
-        if row.shape[0] < n:
-            row = pool[i] = np.empty(n)
-        yield row[:n]
-    while True:
-        pool.append(np.empty(n))
-        yield pool[-1]
-
-
-def _out(a: np.ndarray, buf):
-    """A buffer for an elementwise result of a, or None (a new array) when a
-    is one value standing for every row."""
-    return next(buf) if a.shape[0] > 1 else None
-
-
 def _exp_into(z: np.ndarray, live: bool = False) -> np.ndarray:
     """z = exp(z) in place, without evaluating arguments that underflow to
     0.0, unless every argument is known to be live (>= _EXP_ZERO)."""
@@ -357,18 +334,18 @@ def _exp_into(z: np.ndarray, live: bool = False) -> np.ndarray:
     return z
 
 
-def _capped_exp(logs: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+def _capped_exp(logs: np.ndarray) -> np.ndarray:
     """exp(min(logs, log 2^62)); one value when every row saturates."""
     if logs.min() >= _LOG_HUGE:
         return _SATURATED
-    capped = np.minimum(logs, _LOG_HUGE, out=out)
+    capped = np.minimum(logs, _LOG_HUGE)
     return np.exp(capped, out=capped)
 
 
-def _bound_floats(b: _Side, u: np.ndarray, logu: Optional[np.ndarray],
-                  buf) -> tuple[np.ndarray, np.ndarray]:
+def _bound_floats(b: _Side, u: np.ndarray,
+                  logu: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Bound values at ascending rows u (snapped, capped at 2^62) and their
-    true logs, written into buffers from buf.
+    true logs.
 
     ``logu`` is log(u), shared by both sides of a power band.  A result of
     length 1 stands for every row: a constant bound, or one saturated on the
@@ -379,41 +356,40 @@ def _bound_floats(b: _Side, u: np.ndarray, logu: Optional[np.ndarray],
     if b.kind is Constant:
         vals, logs = np.array([b.c]), np.array([b.log_c])
     elif b.kind is Power:
-        logs = np.multiply(b.alpha, logu, out=next(buf))
+        logs = np.multiply(b.alpha, logu)
         logs += b.log_c
         # the exact product, with exp(logs) only where it saturates; a block
         # whose first row is past 2^62 by a factor e (far more than rounding
         # in these logs) saturates on every row
         head = b.log_c + b.alpha * math.log(float(u[0]))
         if b.exact and head < _LOG_HUGE + 1.0 + 1e-12 * abs(head):
-            vals = np.multiply(b.c, u ** b.alpha, out=next(buf))
+            vals = u ** b.alpha
+            vals *= b.c
             sat = vals >= _HUGE
             if sat.any():
                 vals[sat] = _capped_exp(logs[sat])
         else:
-            vals = _capped_exp(logs, next(buf))
+            vals = _capped_exp(logs)
     else:
-        logs = np.multiply(u, b.alpha, out=next(buf))
+        logs = u * b.alpha
         logs += b.log_c
-        vals = _capped_exp(logs, next(buf))
+        vals = _capped_exp(logs)
     if vals.min() >= 2.0 ** 52:     # every such float is an integer already
         return vals, logs
-    r = np.round(vals, out=_out(vals, buf))
-    d = np.subtract(vals, r, out=_out(vals, buf))
+    r = np.round(vals)
+    d = vals - r
     np.abs(d, out=d)
     np.copyto(r, vals, where=d > 1e-9)
     return r, logs
 
 
-def _tail_em(x: np.ndarray, logx: np.ndarray, s: float, an: int, bn: int,
-             buf=None) -> tuple[np.ndarray, Optional[np.ndarray]]:
+def _tail_em(x: np.ndarray, logx: np.ndarray, s: float, an: int,
+             bn: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Midpoint EM form of T at cut points past the table, and exp(-s*logx)
     when the form was taken at logx on every row (else None)."""
-    if buf is None:
-        buf = _buffers(None, logx.shape[0])
     shared = False
     if x.max() < 1e15:
-        mid_log = np.add(x, 0.5, out=_out(x, buf))
+        mid_log = x + 0.5
         mid_log += bn / an
         np.log(mid_log, out=mid_log)
     else:
@@ -433,7 +409,7 @@ def _tail_em(x: np.ndarray, logx: np.ndarray, s: float, an: int, bn: int,
             return None
         return _exp_into(np.multiply(coef, mid_log, out=out), coef * hi >= _EXP_ZERO)
 
-    t, e_s, tmp = next(buf), next(buf), next(buf)
+    t, e_s, tmp = (np.empty(mid_log.shape) for _ in range(3))
     exp(1.0 - s, t)
     t /= s - 1.0
     # a term that is 0.0 on every row leaves t as it is
@@ -454,8 +430,8 @@ def _tail_em(x: np.ndarray, logx: np.ndarray, s: float, an: int, bn: int,
 
 
 def _tail_at_cut(x: np.ndarray, logx: np.ndarray, ceil_side: bool, s: float,
-                 an: int, bn: int, key: Optional[np.ndarray] = None,
-                 buf=None) -> tuple[np.ndarray, Optional[np.ndarray]]:
+                 an: int, bn: int, key: Optional[np.ndarray] = None
+                 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """T(cut(x)) where cut = ceil(x)-1 on the lower side, floor(x) above,
     with _tail_em's exp(-s*logx) (or None).  ``key`` is ceil(x) or floor(x)
     if the caller has it already.
@@ -464,18 +440,15 @@ def _tail_at_cut(x: np.ndarray, logx: np.ndarray, ceil_side: bool, s: float,
     per-row error is covered by the caller's jitter budget; log-space EM once
     the bound leaves the exactly representable range.
     """
-    if buf is None:
-        buf = _buffers(None, x.shape[0])
     if key is None:
         key = np.ceil(x) if ceil_side else np.floor(x)
-    k = np.subtract(key, 1.0, out=_out(key, buf)) if ceil_side else key
-    k = np.maximum(k, 0.0, out=_out(k, buf))
+    k = np.maximum(key - 1.0 if ceil_side else key, 0.0)
     big = k >= _TABLE
     if big.all():
-        return _tail_em(x, logx, s, an, bn, buf)
+        return _tail_em(x, logx, s, an, bn)
     table = _tail_table(s, an, bn)
     if not big.any():
-        return np.take(table, k.astype(np.int64), out=_out(k, buf), mode="clip"), None
+        return table[k.astype(np.int64)], None
     out = np.empty(k.shape)
     small = ~big
     out[small] = table[k[small].astype(np.int64)]
@@ -502,23 +475,23 @@ def _jitter(vals: np.ndarray, logs: np.ndarray, s: float, an: int,
 
 
 def _side_rows(b: _Side, u, logu, lower: bool, v_min: int, s: float, an: int,
-               bn: int, buf) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+               bn: int) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """(cut keys, T at the cut, cut-jitter or None) of one side on rows u.
     The keys are ceil of the lower value, which is cut at v_min, and floor of
     the upper value."""
-    vals, logs = _bound_floats(b, u, logu, buf)
+    vals, logs = _bound_floats(b, u, logu)
     if lower:
-        vals = np.maximum(vals, float(v_min), out=_out(vals, buf))
-        logs = np.maximum(logs, math.log(float(v_min)), out=_out(logs, buf))
-    key = (np.ceil if lower else np.floor)(vals, out=_out(vals, buf))
-    t, e_s = _tail_at_cut(vals, logs, lower, s, an, bn, key, buf)
+        vals = np.maximum(vals, float(v_min))
+        logs = np.maximum(logs, math.log(float(v_min)))
+    key = np.ceil(vals) if lower else np.floor(vals)
+    t, e_s = _tail_at_cut(vals, logs, lower, s, an, bn, key)
     return key, t, _jitter(vals, logs, s, an, e_s)
 
 
 def _cut_keys(b: _Side, u: np.ndarray, lower: bool,
               v_min: int) -> tuple[np.ndarray, np.ndarray]:
     """The cut keys _side_rows gives a power side on rows u, and its values."""
-    vals, _ = _bound_floats(b, u, np.log(u), _buffers(None, u.shape[0]))
+    vals, _ = _bound_floats(b, u, np.log(u))
     if lower:
         vals = np.maximum(vals, float(v_min))
         return np.ceil(vals), vals
@@ -548,7 +521,7 @@ def _level_start(b: _Side, level, lower: bool):
 
 
 def _side_runs(b: _Side, u: np.ndarray, lower: bool, v_min: int, s: float,
-               an: int, bn: int, buf, known: list):
+               an: int, bn: int):
     """_side_rows of a power side with 0 < alpha < 1, taken once per run of
     rows that share one cut, or None where its value reaches the table's end
     or its runs are short.
@@ -556,46 +529,28 @@ def _side_runs(b: _Side, u: np.ndarray, lower: bool, v_min: int, s: float,
     The key grows with the row, so the ends of the block fix its levels.  The
     first row of each later level is found by inverting c*u^alpha and then
     pinned with the keys themselves: snapping moves a boundary off the exact
-    one, so a guess the keys refute is replaced by bisection.  Blocks come in
-    ascending order, and ``known`` is [end, key, T] when every row from the
-    last block's last row up to end - 1 keeps that block's last key.
+    one, so a guess the keys refute is replaced by bisection.
     """
-    if known and u[-1] < known[0]:
-        return known[1], known[2], None
-    # plain floats first: a block that ends far past the table or climbs many
-    # levels skips the probe, which alone decides for the others
-    top = b.c * float(u[-1]) ** b.alpha
-    if top > 2 * _TABLE or (top - b.c * float(u[0]) ** b.alpha) * _RUN_MIN_ROWS > u.shape[0]:
-        return None
     keys, vals = _cut_keys(b, u[[0, -1]], lower, v_min)
     if vals[-1] >= _TABLE:      # (also where one saturated value stands for both ends)
         return None
     k0, k1 = keys
     if (k1 - k0) * _RUN_MIN_ROWS > u.shape[0]:
         return None
-    levels = np.arange(k0 + 1.0, k1 + 2.0)     # the block's later levels and the next
-    first = np.maximum(_level_start(b, levels, lower), u[0] + 1.0)
-    first[:-1] = np.minimum(first[:-1], u[-1])
+    keys = np.arange(k0, k1 + 1.0)      # one per run
+    t = _tail_table(s, an, bn)[np.maximum(keys - 1.0 if lower else keys, 0.0).astype(np.int64)]
+    if keys.shape[0] == 1:
+        return keys, t, None
+    levels = keys[1:]
+    # (guesses kept inside the block, past its first row, for the probe)
+    first = np.minimum(np.maximum(_level_start(b, levels, lower), u[0] + 1.0), u[-1])
     probe, _ = _cut_keys(b, np.concatenate((first - 1.0, first)), lower, v_min)
     n = levels.shape[0]
-    pinned = (probe[:n] < levels) & (probe[n:] >= levels)
-    for i in np.flatnonzero(~pinned[:-1]):
+    for i in np.flatnonzero((probe[:n] >= levels) | (probe[n:] < levels)):
         first[i] = _first_row(b, u, lower, v_min, levels[i])
-    keys = np.concatenate((keys[:1], levels[:-1]))
-    t = _tail_table(s, an, bn)[np.maximum(keys - 1.0 if lower else keys, 0.0).astype(np.int64)]
-    known.clear()
-    if pinned[-1] and k1 < _TABLE:
-        # rows up to the next level's first row keep the last key, below the table
-        known.extend((first[-1], keys[-1:], t[-1:]))
-    if n == 1:
-        return keys, t, None
-    # run number of every row: +1 at each run's first row, summed up
-    run = next(buf).view(np.int64)
-    run.fill(0)
-    np.add.at(run, (first[:-1] - u[0]).astype(np.int64), 1)
-    np.cumsum(run, out=run)
-    return (np.take(keys, run, out=next(buf), mode="clip"),
-            np.take(t, run, out=next(buf), mode="clip"), None)
+    # each run's key and tail repeated over its rows
+    lengths = np.diff(first - u[0], prepend=0.0, append=float(u.shape[0])).astype(np.int64)
+    return np.repeat(keys, lengths), np.repeat(t, lengths), None
 
 
 @lru_cache(maxsize=512)
@@ -603,52 +558,42 @@ def _constant_side(b: _Side, lower: bool, v_min: int, s: float, an: int,
                    bn: int) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """_side_rows of a constant bound: one value for every row of every block
     (read-only, since every caller shares it)."""
-    side = _side_rows(b, None, None, lower, v_min, s, an, bn, _buffers(None, 1))
+    side = _side_rows(b, None, None, lower, v_min, s, an, bn)
     for a in side:
         if a is not None:
             a.flags.writeable = False
     return side
 
 
-def _row_block(atom: DelimAtom, s: float, u: np.ndarray, pool=None, sides=None,
-               runs=None):
+def _row_block(atom: DelimAtom, s: float, u: np.ndarray):
     """(w, inner, jitter) on ascending rows u: the outer weight (am*u+bm)^(-s),
-    the inner range sum and the cut-jitter bound (None if 0 on every row).
-
-    Row-length arrays are written into the rows of ``pool`` (see _buffers),
-    so the results hold until the next call with the same pool.
-    ``sides`` is (_side_of(atom.lower), _side_of(atom.upper)), and ``runs``
-    the run each side's earlier blocks found (see _side_runs).
-    """
+    the inner range sum and the cut-jitter bound (None if 0 on every row)."""
     am, bm, an, bn = atom.am, atom.bm, atom.an, atom.bn
-    buf = _buffers(pool, u.shape[0])
-    w = next(buf)
     if (am, bm) == (1, 0):
-        np.power(u, -s, out=w)
+        w = np.power(u, -s)
     else:
-        np.multiply(am, u, out=w)
+        w = am * u
         w += bm
         np.power(w, -s, out=w)
     logu = None
     rows = []
-    sides = sides or (_side_of(atom.lower), _side_of(atom.upper))
-    for b, lower, known in zip(sides, (True, False), runs or ([], [])):
+    for b, lower in ((_side_of(atom.lower), True), (_side_of(atom.upper), False)):
         if b.kind is Constant:
             rows.append(_constant_side(b, lower, atom.v_min, s, an, bn))
             continue
-        side = _side_runs(b, u, lower, atom.v_min, s, an, bn, buf, known) if b.inv else None
+        side = _side_runs(b, u, lower, atom.v_min, s, an, bn) if b.inv else None
         if side is None:
             if logu is None and b.kind is Power:
-                logu = np.log(u, out=next(buf))
-            side = _side_rows(b, u, logu, lower, atom.v_min, s, an, bn, buf)
+                logu = np.log(u)
+            side = _side_rows(b, u, logu, lower, atom.v_min, s, an, bn)
         rows.append(side)
     (k_lo, t_lo, jit_lo), (k_hi, t_hi, jit_hi) = rows
-    inner = np.subtract(t_lo, t_hi, out=next(buf))
+    inner = t_lo - t_hi
     if k_lo.max() > k_hi.min():     # some row is empty
         np.copyto(inner, 0.0, where=k_lo > k_hi)
     if jit_lo is None or jit_hi is None:
         return w, inner, (jit_hi if jit_lo is None else jit_lo)
-    return w, inner, np.add(jit_lo, jit_hi, out=next(buf))
+    return w, inner, jit_lo + jit_hi
 
 
 def _direct_rows(atom: DelimAtom, s: float, M: int) -> tuple[list[float], float, int]:
@@ -661,9 +606,6 @@ def _direct_rows(atom: DelimAtom, s: float, M: int) -> tuple[list[float], float,
     rows = max(M - atom.u_min + 1, 0)
     prod = np.empty(min(rows, _CHUNK_ROWS))
     jit = np.empty(prod.shape)
-    pool = [] if rows > _BLOCK_ROWS else None     # a pool pays once blocks reuse it
-    sides = (_side_of(atom.lower), _side_of(atom.upper))
-    runs = ([], [])
     row_sums: list[float] = []
     jitter = 0.0
     for lo in range(atom.u_min, M + 1, _CHUNK_ROWS):
@@ -672,8 +614,7 @@ def _direct_rows(atom: DelimAtom, s: float, M: int) -> tuple[list[float], float,
         for b0 in range(lo, hi + 1, _BLOCK_ROWS):
             b1 = min(b0 + _BLOCK_ROWS - 1, hi)
             i, j = b0 - lo, b1 - lo + 1
-            u = np.arange(float(b0), float(b1) + 1.0)
-            w, inner, big = _row_block(atom, s, u, pool, sides, runs)
+            w, inner, big = _row_block(atom, s, np.arange(float(b0), float(b1) + 1.0))
             np.multiply(w, inner, out=prod[i:j])
             if big is None:
                 jit[i:j] = 0.0

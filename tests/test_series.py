@@ -538,8 +538,7 @@ def test_row_block_where_the_value_lands_on_the_table_end(band, monkeypatch):
         u = np.arange(edge + lo, edge + hi + 1.0)
         for s in (1.5, 1.03125):
             assert _block_matches_reference(atom, s, u)
-    # the same rows in blocks of 1000 that carry their runs from block to
-    # block, one of them ending on the edge row
+    # the same rows in blocks of 1000, one of them ending on the edge row
     monkeypatch.setattr(series, "_CHUNK_ROWS", 7001)
     monkeypatch.setattr(series, "_BLOCK_ROWS", 1000)
     atom = dataclasses.replace(atom, u_min=int(edge) - 5999)
