@@ -24,6 +24,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -464,11 +465,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "check": _cmd_check,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: exit 1, quietly, and point stdout at the
+        # null device so the flush at exit has nowhere to fail
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (OSError, ValueError):
+            pass
+        return 1
     except (ParseError, ValidationError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (BudgetExceeded, ValueError) as exc:
+    except (BudgetExceeded, ValueError, OverflowError) as exc:
         sys.stderr.write(f"engine error: {exc}\n")
         return 1
 

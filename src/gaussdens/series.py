@@ -72,14 +72,20 @@ operations whatever block holds it, so the block size never changes a sum.
 A sub-linear power side keeps one integer cut over long runs of rows; its cut
 and inner tail are computed once per run and repeated over the run's rows, so
 no two terms are merged: every row still gets its own product of outer weight
-and inner sum.
+and inner sum.  Past the table, each Euler-Maclaurin correction of T (the
+x^(-s)/2, s x^(-s-1)/12 and s(s+1)(s+2) x^(-s-3)/720 terms) is evaluated only
+where it can move a bit: a block skips a correction whose largest value there
+is below 2^-60 of its smallest leading term x^(1-s)/(s-1), which is under half
+an ulp of every row's tail, so the sums are the same bits as with every term.
+Rows ascend and every bound is nondecreasing, so a block's extremes, and the
+edges where its rows cross the table, 2^62 or underflow, come from its end
+rows and a binary search instead of passes over the block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
@@ -94,6 +100,7 @@ from .sets import (
     Power,
     _HUGE,
     _LOG_HUGE,
+    _coef,
     grid_mask,
     power_form,
 )
@@ -274,23 +281,15 @@ def _axis_sums(atoms, s: float) -> dict:
 _SATURATED = np.exp(np.array([_LOG_HUGE]))
 _SATURATED.flags.writeable = False
 # exp(z) is exactly 0.0 for z < _EXP_ZERO (the smallest subnormal is
-# exp(-744.4)); np.exp takes a slow path on such arguments, so they are skipped
+# exp(-744.4)); see _exp_into
 _EXP_ZERO = -746.0
+# log 2^-60: a correction below 2^-60 of the leading term x^(1-s)/(s-1) is
+# under half an ulp (2^-54 at least) of the tail it is added to, so the sum
+# rounds to the tail unchanged
+_NEGLIGIBLE = -60.0 * math.log(2.0)
 # a block takes a sub-linear power side once per run of one cut when its runs
 # are at least this many rows long on average
 _RUN_MIN_ROWS = 64
-
-
-def _coef(q: Fraction) -> tuple[float, float]:
-    """(float(q), log q) of a positive rational.  Past the float range float(q)
-    is inf or 0.0, and log q comes from the numerator and the denominator."""
-    try:
-        f = float(q)
-    except OverflowError:
-        f = math.inf
-    if 0.0 < f < math.inf:
-        return f, math.log(f)
-    return f, math.log(q.numerator) - math.log(q.denominator)
 
 
 class _Side(NamedTuple):
@@ -322,21 +321,32 @@ def _coef_pow(c: float, log_c: float, p: float) -> float:
     return c ** p if 0.0 < c < math.inf else math.exp(p * log_c)
 
 
-def _exp_into(z: np.ndarray, live: bool = False) -> np.ndarray:
-    """z = exp(z) in place, without evaluating arguments that underflow to
-    0.0, unless every argument is known to be live (>= _EXP_ZERO)."""
-    if live or z.min() >= _EXP_ZERO:
-        return np.exp(z, out=z)
-    alive = z >= _EXP_ZERO
-    e = np.exp(z[alive])
-    z.fill(0.0)
-    z[alive] = e
-    return z
+def _exp_into(coef: float, logs: np.ndarray, out: np.ndarray) -> Optional[np.ndarray]:
+    """out = exp(coef * logs) for coef < 0 and ascending logs, or None when
+    every value is 0.0.  The rows whose argument is below _EXP_ZERO, a tail of
+    the block, are set to 0.0 without evaluating them (a row next to that edge
+    may fall on either side: its value is 0.0 both ways)."""
+    # np.exp is slow near underflow: on an Intel Xeon with AVX-512 (numpy
+    # 2.4.6) it takes 1.2 ns per element on normal results, 20 ns on
+    # arguments below _EXP_ZERO and 139 ns, about 120x, on subnormal results.
+    # So the rows past _EXP_ZERO are skipped here, and _tail_em evaluates an
+    # Euler-Maclaurin correction, whose smallest values are the subnormal
+    # ones, only where it can move a bit of the tail (_NEGLIGIBLE).
+    if coef * logs[0] < _EXP_ZERO:
+        return None
+    n = logs.shape[0]
+    if coef * logs[-1] < _EXP_ZERO:
+        n = int(np.searchsorted(logs, _EXP_ZERO / coef, side="right"))
+        out[n:] = 0.0
+    z = np.multiply(coef, logs[:n], out=out[:n])
+    np.exp(z, out=z)
+    return out
 
 
 def _capped_exp(logs: np.ndarray) -> np.ndarray:
-    """exp(min(logs, log 2^62)); one value when every row saturates."""
-    if logs.min() >= _LOG_HUGE:
+    """exp(min(logs, log 2^62)) for ascending logs; one value when every row
+    saturates."""
+    if logs[0] >= _LOG_HUGE:
         return _SATURATED
     capped = np.minimum(logs, _LOG_HUGE)
     return np.exp(capped, out=capped)
@@ -345,7 +355,7 @@ def _capped_exp(logs: np.ndarray) -> np.ndarray:
 def _bound_floats(b: _Side, u: np.ndarray,
                   logu: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Bound values at ascending rows u (snapped, capped at 2^62) and their
-    true logs.
+    true logs, both ascending.
 
     ``logu`` is log(u), shared by both sides of a power band.  A result of
     length 1 stands for every row: a constant bound, or one saturated on the
@@ -358,23 +368,26 @@ def _bound_floats(b: _Side, u: np.ndarray,
     elif b.kind is Power:
         logs = np.multiply(b.alpha, logu)
         logs += b.log_c
-        # the exact product, with exp(logs) only where it saturates; a block
-        # whose first row is past 2^62 by a factor e (far more than rounding
-        # in these logs) saturates on every row
-        head = b.log_c + b.alpha * math.log(float(u[0]))
-        if b.exact and head < _LOG_HUGE + 1.0 + 1e-12 * abs(head):
-            vals = u ** b.alpha
-            vals *= b.c
-            sat = vals >= _HUGE
-            if sat.any():
-                vals[sat] = _capped_exp(logs[sat])
-        else:
+        # an integer power takes the exact product, with exp(logs) where it
+        # saturates, on the rows before its log passes log 2^62 by 1 (far
+        # more than rounding in these logs): the rows past it saturate, and
+        # their products may overflow
+        n = int(np.searchsorted(logs, _LOG_HUGE + 1.0)) if b.exact else 0
+        if n == 0:
             vals = _capped_exp(logs)
+        else:
+            vals = u[:n] ** b.alpha
+            vals *= b.c
+            if vals[-1] >= _HUGE:
+                i = int(np.searchsorted(vals, float(_HUGE)))
+                vals[i:] = _capped_exp(logs[i:n])
+            if n < u.shape[0]:
+                vals = np.concatenate((vals, np.full(u.shape[0] - n, _SATURATED[0])))
     else:
         logs = u * b.alpha
         logs += b.log_c
         vals = _capped_exp(logs)
-    if vals.min() >= 2.0 ** 52:     # every such float is an integer already
+    if vals[0] >= 2.0 ** 52:     # every such float is an integer already
         return vals, logs
     r = np.round(vals)
     d = vals - r
@@ -385,42 +398,55 @@ def _bound_floats(b: _Side, u: np.ndarray,
 
 def _tail_em(x: np.ndarray, logx: np.ndarray, s: float, an: int,
              bn: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Midpoint EM form of T at cut points past the table, and exp(-s*logx)
-    when the form was taken at logx on every row (else None)."""
-    shared = False
-    if x.max() < 1e15:
+    """Midpoint EM form of T at ascending cut points past the table, and
+    exp(-s*logx), the cut-jitter bound's exponential, where an == 1 and the
+    form was taken at logx on every row (else None).
+
+    mid_log ascends with the rows, so each term takes its extremes at the two
+    end rows.  A correction is evaluated only where it can move a bit: its
+    largest value (at the first row) is compared with 2^-60 of the smallest
+    leading term (at the last row), with a margin of 2^6 over half an ulp that
+    covers rounding in these logs.
+    """
+    if x[-1] < 1e15:
         mid_log = x + 0.5
         mid_log += bn / an
         np.log(mid_log, out=mid_log)
+    elif x[0] >= 1e15:
+        mid_log = logx
     else:
-        near = x < 1e15
-        shared = not near.any()
-        mid_log = logx if shared else np.where(near, np.log(x + 0.5 + bn / an), logx)
-    # cuts past the table: mid_log > 0, so coef * mid_log (coef < 0) is
-    # extreme at the extremes of mid_log, which settle each term's underflow
-    lo, hi = mid_log.min(), mid_log.max()
+        n = int(np.searchsorted(x, 1e15))
+        mid_log = logx.copy()
+        near = x[:n] + 0.5
+        near += bn / an
+        np.log(near, out=mid_log[:n])
+    shared = mid_log is logx and an == 1
+    lo, hi = mid_log[0], mid_log[-1]
     if (1.0 - s) * lo < _EXP_ZERO:
         # every exponential below underflows to 0.0
         return np.zeros(1), (np.zeros(1) if shared else None)
+    # log of 2^-60 of the smallest leading term, at the last row
+    floor = (1.0 - s) * hi - math.log(s - 1.0) + _NEGLIGIBLE
 
-    def exp(coef: float, out: np.ndarray) -> Optional[np.ndarray]:
-        """exp(coef * mid_log) into out; None when every value is 0.0."""
-        if coef * lo < _EXP_ZERO:
-            return None
-        return _exp_into(np.multiply(coef, mid_log, out=out), coef * hi >= _EXP_ZERO)
+    def moves(coef: float, p: float) -> bool:
+        """Can coef * exp(-p * mid_log) move a bit of the tail on some row?"""
+        return math.log(coef) - p * lo >= floor
 
-    t, e_s, tmp = (np.empty(mid_log.shape) for _ in range(3))
-    exp(1.0 - s, t)
+    t, tmp = np.empty(mid_log.shape), np.empty(mid_log.shape)
+    _exp_into(1.0 - s, mid_log, t)
     t /= s - 1.0
-    # a term that is 0.0 on every row leaves t as it is
-    e_s = exp(-s, e_s)
-    if e_s is not None:
+    # a correction that cannot move a bit, or is 0.0 on every row, leaves t
+    # as it is
+    half = moves(0.5, s)
+    e_s = _exp_into(-s, mid_log, np.empty(mid_log.shape)) if half or shared else None
+    if half and e_s is not None:
         t += np.multiply(0.5, e_s, out=tmp)
-    if exp(-(s + 1.0), tmp) is not None:
+    if moves(s / 12.0, s + 1.0) and _exp_into(-(s + 1.0), mid_log, tmp) is not None:
         tmp *= s / 12.0
         t += tmp
-    if exp(-(s + 3.0), tmp) is not None:
-        tmp *= _rising(s, 3) / 720.0
+    c3 = _rising(s, 3) / 720.0
+    if moves(c3, s + 3.0) and _exp_into(-(s + 3.0), mid_log, tmp) is not None:
+        tmp *= c3
         t -= tmp
     if an != 1:
         t *= an ** (-s)
@@ -432,9 +458,9 @@ def _tail_em(x: np.ndarray, logx: np.ndarray, s: float, an: int,
 def _tail_at_cut(x: np.ndarray, logx: np.ndarray, ceil_side: bool, s: float,
                  an: int, bn: int, key: Optional[np.ndarray] = None
                  ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """T(cut(x)) where cut = ceil(x)-1 on the lower side, floor(x) above,
-    with _tail_em's exp(-s*logx) (or None).  ``key`` is ceil(x) or floor(x)
-    if the caller has it already.
+    """T(cut(x)) at ascending x, where cut = ceil(x)-1 on the lower side,
+    floor(x) above, with _tail_em's exp(-s*logx) (or None).  ``key`` is
+    ceil(x) or floor(x) if the caller has it already.
 
     Exact (tabulated) below _TABLE; smooth midpoint EM form above, whose
     per-row error is covered by the caller's jitter budget; log-space EM once
@@ -442,47 +468,50 @@ def _tail_at_cut(x: np.ndarray, logx: np.ndarray, ceil_side: bool, s: float,
     """
     if key is None:
         key = np.ceil(x) if ceil_side else np.floor(x)
-    k = np.maximum(key - 1.0 if ceil_side else key, 0.0)
-    big = k >= _TABLE
-    if big.all():
+    edge = _TABLE + 1.0 if ceil_side else float(_TABLE)    # the first key past the table
+    if key[0] >= edge:
         return _tail_em(x, logx, s, an, bn)
-    table = _tail_table(s, an, bn)
-    if not big.any():
-        return table[k.astype(np.int64)], None
-    out = np.empty(k.shape)
-    small = ~big
-    out[small] = table[k[small].astype(np.int64)]
-    out[big] = _tail_em(x[big], logx[big], s, an, bn)[0]
+    n = int(np.searchsorted(key, edge))
+    k = np.maximum(key[:n] - 1.0 if ceil_side else key[:n], 0.0)
+    table = _tail_table(s, an, bn)[k.astype(np.int64)]
+    if n == key.shape[0]:
+        return table, None
+    out = np.empty(key.shape)
+    out[:n] = table
+    out[n:] = _tail_em(x[n:], logx[n:], s, an, bn)[0]
     return out, None
 
 
 def _jitter(vals: np.ndarray, logs: np.ndarray, s: float, an: int,
             e_s: Optional[np.ndarray]) -> Optional[np.ndarray]:
-    """Cut-jitter bound 1.2*(an*b)^(-s) on rows whose bound b passes the
-    table (0 elsewhere), or None when no row does.  A given e_s (the tail's
-    exp(-s*logs)) is overwritten."""
-    sel = vals >= float(_TABLE)
-    if not sel.any():
+    """Cut-jitter bound 1.2*(an*b)^(-s) at ascending bounds b, on the rows
+    past the table (0 before them), or None when no row passes it.  A given
+    e_s (the tail's exp(-s*logs), given only where an == 1) is overwritten."""
+    if vals[-1] < _TABLE:
         return None
-    if e_s is not None and an == 1:
+    if e_s is not None:
         # log(1) + logs == logs: the tail's exp(-s*logs)
         return np.multiply(1.2, e_s, out=e_s)
-    if sel.all():
-        return 1.2 * _exp_into(-s * (math.log(an) + logs))
-    out = np.zeros(vals.shape)
-    out[sel] = 1.2 * _exp_into(-s * (math.log(an) + logs[sel]))
+    n = int(np.searchsorted(vals, float(_TABLE)))
+    out = np.zeros(logs.shape)
+    z = logs[n:] if an == 1 else logs[n:] + math.log(an)
+    if _exp_into(-s, z, out[n:]) is not None:
+        out[n:] *= 1.2
     return out
 
 
 def _side_rows(b: _Side, u, logu, lower: bool, v_min: int, s: float, an: int,
                bn: int) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """(cut keys, T at the cut, cut-jitter or None) of one side on rows u.
-    The keys are ceil of the lower value, which is cut at v_min, and floor of
-    the upper value."""
+    """(cut keys, T at the cut, cut-jitter or None) of one side on ascending
+    rows u.  The keys are ceil of the lower value, which is cut at v_min, and
+    floor of the upper value."""
     vals, logs = _bound_floats(b, u, logu)
     if lower:
-        vals = np.maximum(vals, float(v_min))
-        logs = np.maximum(logs, math.log(float(v_min)))
+        # (the values ascend: the cut binds on a head of the rows, if any)
+        if vals[0] < v_min:
+            vals = np.maximum(vals, float(v_min))
+        if logs[0] < math.log(float(v_min)):
+            logs = np.maximum(logs, math.log(float(v_min)))
     key = np.ceil(vals) if lower else np.floor(vals)
     t, e_s = _tail_at_cut(vals, logs, lower, s, an, bn, key)
     return key, t, _jitter(vals, logs, s, an, e_s)
@@ -588,8 +617,11 @@ def _row_block(atom: DelimAtom, s: float, u: np.ndarray):
             side = _side_rows(b, u, logu, lower, atom.v_min, s, an, bn)
         rows.append(side)
     (k_lo, t_lo, jit_lo), (k_hi, t_hi, jit_hi) = rows
-    inner = t_lo - t_hi
-    if k_lo.max() > k_hi.min():     # some row is empty
+    # inner into a side's own tail where one covers the block (the constant
+    # sides' one value is shared, and read-only)
+    out = next((t for t in (t_hi, t_lo) if t.shape == u.shape and t.flags.writeable), None)
+    inner = np.subtract(t_lo, t_hi, out=out)
+    if k_lo[-1] > k_hi[0]:     # some row may be empty (the keys ascend)
         np.copyto(inner, 0.0, where=k_lo > k_hi)
     if jit_lo is None or jit_hi is None:
         return w, inner, (jit_hi if jit_lo is None else jit_lo)
@@ -600,19 +632,28 @@ def _direct_rows(atom: DelimAtom, s: float, M: int) -> tuple[list[float], float,
     """(chunk sums, jitter bound, rows) of the direct rows u_min..M.
 
     Each chunk of _CHUNK_ROWS rows is one np.sum; its rows are evaluated in
-    blocks of _BLOCK_ROWS written into one chunk buffer, so the block size
-    never changes a sum.
+    blocks of at most _BLOCK_ROWS written into one chunk buffer, so the block
+    size never changes a sum.
     """
     rows = max(M - atom.u_min + 1, 0)
     prod = np.empty(min(rows, _CHUNK_ROWS))
     jit = np.empty(prod.shape)
     row_sums: list[float] = []
     jitter = 0.0
+    # a block ends where every side that saturates within the first block has
+    # saturated: the rows before it mix table and EM cuts, unsaturated and
+    # saturated values, and EM corrections that move bits with ones that
+    # cannot, and the rows after it take one value per side and no correction
+    saturated = [_crossover_u(b, float(_HUGE)) for b in (atom.lower, atom.upper)]
+    settled = max((u for u in saturated if u < atom.u_min + _BLOCK_ROWS), default=0)
     for lo in range(atom.u_min, M + 1, _CHUNK_ROWS):
         hi = min(lo + _CHUNK_ROWS - 1, M)
         any_jit = False
-        for b0 in range(lo, hi + 1, _BLOCK_ROWS):
+        b0 = lo
+        while b0 <= hi:
             b1 = min(b0 + _BLOCK_ROWS - 1, hi)
+            if b0 < settled <= b1:
+                b1 = settled - 1
             i, j = b0 - lo, b1 - lo + 1
             w, inner, big = _row_block(atom, s, np.arange(float(b0), float(b1) + 1.0))
             np.multiply(w, inner, out=prod[i:j])
@@ -621,6 +662,7 @@ def _direct_rows(atom: DelimAtom, s: float, M: int) -> tuple[list[float], float,
             else:
                 np.multiply(w, big, out=jit[i:j])
                 any_jit = True
+            b0 = b1 + 1
         n = hi - lo + 1
         row_sums.append(float(np.sum(prod[:n])))
         if any_jit:

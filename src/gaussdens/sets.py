@@ -280,6 +280,18 @@ class BoundFn:
         return int(math.floor(self.snapped(m)))
 
 
+def _coef(q: Fraction) -> tuple[float, float]:
+    """(float(q), log q) of a positive rational.  Past the float range float(q)
+    is inf or 0.0, and log q comes from the numerator and the denominator."""
+    try:
+        f = float(q)
+    except OverflowError:
+        f = math.inf
+    if 0.0 < f < math.inf:
+        return f, math.log(f)
+    return f, math.log(q.numerator) - math.log(q.denominator)
+
+
 def _frac_is_int(x: Fraction) -> bool:
     return x.denominator == 1
 
@@ -297,7 +309,7 @@ class Constant(BoundFn):
         return float(self.k)
 
     def log_value(self, m: int) -> float:
-        return math.log(float(self.k))
+        return _coef(self.k)[1]
 
     def exact_int(self, m: int) -> Optional[int]:
         return int(self.k) if _frac_is_int(self.k) else None
@@ -325,7 +337,7 @@ class Power(BoundFn):
         return float(self.c) * float(m) ** float(self.alpha)
 
     def log_value(self, m: int) -> float:
-        return math.log(float(self.c)) + float(self.alpha) * math.log(m)
+        return _coef(self.c)[1] + float(self.alpha) * math.log(m)
 
     def exact_int(self, m: int) -> Optional[int]:
         if _frac_is_int(self.c) and _frac_is_int(self.alpha):
@@ -361,7 +373,7 @@ class Exponential(BoundFn):
         return float(self.c) * float(self.a) ** m
 
     def log_value(self, m: int) -> float:
-        return math.log(float(self.c)) + m * math.log(float(self.a))
+        return _coef(self.c)[1] + m * _coef(self.a)[1]
 
     def exact_int(self, m: int) -> Optional[int]:
         if _frac_is_int(self.c) and _frac_is_int(self.a):
@@ -418,7 +430,7 @@ def _dominates(upper: BoundFn, lower: BoundFn) -> bool:
     if up_kind is Exponential and lo_kind in (Constant, Power):
         _, a_lo = power_form(lower)
         # ratio upper/lower decreases until m* = alpha / ln(a), then increases
-        m_star = float(a_lo) / math.log(float(upper.a))
+        m_star = float(a_lo) / _coef(upper.a)[1]
         scan_to = int(math.ceil(m_star)) + 2
         for m in range(1, max(scan_to, 2) + 1):
             if upper.log_value(m) < lower.log_value(m) - 1e-12:

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -296,6 +300,44 @@ def test_cli_coefficient_beyond_the_float_range(capsys):
     assert points and all(0.0 <= float(p["tail_bound"]) < math.inf for p in points)
     assert main(["exact", text]) == 0
     assert "density   = 1/3" in capsys.readouterr().out
+
+
+def test_cli_constant_beyond_the_float_range_is_not_a_crash(capsys):
+    # Constant.log_value takes log 10^400 from its digits, so domination is
+    # decided exactly: exp(1,2) stays below 10^400 up to m = 1328, so that
+    # pair is rejected as delim(const(3),exp(1,2)) is, and exp(10^400,2)
+    # dominates it
+    c = 10 ** 400
+    for command in ("exact", "estimate", "compare", "sweep", "oracle"):
+        assert main([command, f"delim(const({c}),exp(1,2))"]) == 2
+        captured = capsys.readouterr()
+        assert "must dominate" in captured.err and "Traceback" not in captured.err
+    assert main(["exact", f"delim(const({c}),exp({c},2))"]) == 0
+    assert "density   = 1 = 1.0" in capsys.readouterr().out
+
+
+def test_cli_exponent_beyond_the_float_range_is_an_engine_error(capsys):
+    # the series engine takes a power's exponent as a float
+    text = f"delim(pow(1,1/2),pow(1,{10 ** 400}))"
+    for command in ("estimate", "oracle"):
+        assert main([command, text]) == 1
+        captured = capsys.readouterr()
+        assert "engine error" in captured.err and "Traceback" not in captured.err
+
+
+def test_cli_closed_stdout_exits_1_quietly():
+    # the reader closes the pipe before the first write
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gaussdens.cli", "estimate", "P2", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
 
 
 def test_cli_oracle_modulus_beyond_int64(capsys):

@@ -2,11 +2,13 @@
 
 import dataclasses
 import math
+import warnings
 from fractions import Fraction
 from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gaussdens import (
     BudgetExceeded,
@@ -385,7 +387,8 @@ def _reference_bound_floats(b, u):
         logs = math.log(float(b.c)) + float(b.alpha) * np.log(u)
         vals = np.exp(np.minimum(logs, _LOG_HUGE))
         if b.exact_int(1) is not None:
-            exact = float(b.c) * u ** float(b.alpha)
+            with np.errstate(over="ignore"):    # (the rows past 2^62 take vals)
+                exact = float(b.c) * u ** float(b.alpha)
             vals = np.where(exact < _HUGE, exact, vals)
     else:
         logs = math.log(float(b.c)) + u * math.log(float(b.a))
@@ -400,14 +403,19 @@ def _reference_tail_at_cut(x, logx, ceil_side, s, an, bn):
     small = k < series._TABLE
     out[small] = series._tail_table(s, an, bn)[k[small].astype(np.int64)]
     big = ~small
-    mid_log = np.where(x[big] < 1e15, np.log(x[big] + 0.5 + bn / an), logx[big])
-    out[big] = an ** (-s) * (
+    out[big] = _four_term_tail_em(x[big], logx[big], s, an, bn)
+    return out
+
+
+def _four_term_tail_em(x, logx, s, an, bn):
+    """The midpoint EM form with all four terms evaluated on every row."""
+    mid_log = np.where(x < 1e15, np.log(x + 0.5 + bn / an), logx)
+    return an ** (-s) * (
         np.exp((1.0 - s) * mid_log) / (s - 1.0)
         + 0.5 * np.exp(-s * mid_log)
         + (s / 12.0) * np.exp(-(s + 1.0) * mid_log)
         - (series._rising(s, 3) / 720.0) * np.exp(-(s + 3.0) * mid_log)
     )
-    return out
 
 
 def _reference_direct_rows(atom, s, M, chunk):
@@ -474,9 +482,9 @@ def test_direct_rows_equal_the_unblocked_reference(band, variant, monkeypatch):
 
 
 def test_kernel_masks_match_the_reference_on_mixed_rows():
-    # a block with rows on both sides of the table (and of 1e15), in any order,
-    # takes the masked path
-    x = np.array([20000.0, 5.5, 3e15, 7.0, 12000.25, 2.0])
+    # a block with rows on both sides of the table (and of 1e15) splits where
+    # they cross it; the kernel's cut points ascend with the rows
+    x = np.array([2.0, 5.5, 7.0, 12000.25, 20000.0, 3e15])
     logx = np.log(x)
     for s, an, bn in ((1.5, 1, 0), (1.0078125, 3, 2)):
         for lower in (True, False):
@@ -486,6 +494,44 @@ def test_kernel_masks_match_the_reference_on_mixed_rows():
         sel = x >= float(series._TABLE)
         want[sel] = 1.2 * np.exp(-s * (math.log(an) + logx[sel]))
         assert series._jitter(x, logx, s, an, None).tolist() == want.tolist()
+
+
+_EM_SIDES = [Power(100, Fraction(1, 4)), Power(1, Fraction(1, 3)), Power(2, Fraction(1, 2)),
+             Power(Fraction(7, 3), 1), Power(1, 2), Power(3, 3), Power(1, 4),
+             Exponential(1, Fraction(11, 10)), Exponential(5, 2), Exponential(1, 3)]
+
+
+def _row_of(b, x):
+    """The real row where side b reaches x."""
+    if b.kind is Power:
+        return (x / b.c) ** (1.0 / b.alpha)
+    return math.log(x / b.c) / b.alpha
+
+
+@settings(max_examples=300, deadline=None)
+@given(side=st.sampled_from(_EM_SIDES), term=st.integers(0, 2), e=st.floats(48.0, 72.0),
+       s=st.floats(1.0 + 2.0 ** -14, 2.0), an=st.integers(1, 3), bn=st.integers(0, 5),
+       before=st.integers(0, 3000), after=st.integers(0, 3000))
+def test_tail_em_is_bit_equal_to_the_four_term_form(side, term, e, s, an, bn, before, after):
+    # the block sits where one correction, coef * x^-p relative to the leading
+    # term x^(1-s)/(s-1), crosses 2^-e: on either side of the 2^-60 line below
+    # which the kernel skips a correction, or across it
+    coef, p = ((0.5 * (s - 1.0), 1), (s / 12.0 * (s - 1.0), 2),
+               (series._rising(s, 3) / 720.0 * (s - 1.0), 4))[term]
+    b = series._side_of(side)
+    first = _row_of(b, float(series._TABLE)) + 1.0      # the first cut past the table
+    centre = min(max(_row_of(b, (coef * 2.0 ** e) ** (1.0 / p)), first), 2.0 ** 50)
+    u0 = max(math.floor(centre) - before, math.ceil(first))
+    u = np.arange(float(u0), float(u0 + before + after) + 1.0)
+    x, logx = series._bound_floats(b, u, np.log(u))
+    if x.shape == u.shape:
+        n = int(np.searchsorted(x, float(series._TABLE)))
+        x, logx = x[n:], logx[n:]
+    assume(logx.size > 0)
+    t, e_s = series._tail_em(x, logx, s, an, bn)
+    assert np.array_equal(np.broadcast_to(t, logx.shape), _four_term_tail_em(x, logx, s, an, bn))
+    if e_s is not None:
+        assert np.array_equal(np.broadcast_to(e_s, logx.shape), np.exp(-s * logx))
 
 
 def _reference_row_block(atom, s, u):
@@ -547,6 +593,27 @@ def test_row_block_where_the_value_lands_on_the_table_end(band, monkeypatch):
         assert series._direct_rows(atom, s, M) == _reference_direct_rows(atom, s, M, 7001)
 
 
+def test_the_first_block_ends_where_the_sides_saturate(monkeypatch):
+    # exp(1,2) passes 2^62 at row 62 and exp(1,3) at row 39: the first block
+    # ends there, and every later block takes one saturated value per side
+    atom = _delim_atom("inter(delim(exp(1,2),exp(1,3)),upper(5,4))")
+    blocks = []
+    row_block = series._row_block
+
+    def spy(a, s, u):
+        blocks.append(u)
+        return row_block(a, s, u)
+
+    monkeypatch.setattr(series, "_row_block", spy)
+    s, M = 1.0078125, 40_000
+    assert series._direct_rows(atom, s, M) == _reference_direct_rows(atom, s, M, series._CHUNK_ROWS)
+    first, second = blocks[:2]
+    assert first[0] == 5 and first[-1] + 1 == second[0] < 70
+    for u in blocks[1:]:
+        for side in (atom.lower, atom.upper):
+            assert series._bound_floats(series._side_of(side), u, None)[0].shape == (1,)
+
+
 _KERNEL_POINTS = [
     ("delim(const(1),pow(1,2))", 1.0078125, 1e-5),
     ("delim(pow(1,1),pow(1,3))", 1.03125, 1e-5),
@@ -606,6 +673,16 @@ def test_coefficient_beyond_the_float_range():
         want = near.value * 10.0 ** (100 * (1 - s))
         assert far.value == pytest.approx(want, rel=1e-12, abs=0.0)
         assert 0.0 < far.tail_bound < 1e-5
+
+
+def test_an_exact_power_past_the_float_range_raises_no_warning():
+    # pow(1, 1000) passes 2^62 from row 2 on; its exact product is taken only
+    # on rows below saturation, where it cannot overflow
+    band = parse_expression("delim(pow(1,1/2),pow(1,1000))")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (1.5, 1.0078125):
+            assert density_at(band, s, 1e-5, loosen=True).terms_used > 0
 
 
 def test_tiny_exponent_band_charges_its_whole_mass():
