@@ -15,11 +15,11 @@ Sets are described symbolically:
 Expressions are immutable after construction and every operation here is a
 pure function, so values can be shared freely between threads.
 
-Membership is decided by :func:`contains` (the semantic ground truth), by
-:func:`predicate` (the same decision procedure, partially evaluated into a
-closure for tight loops), and by :func:`grid_mask` (the same decision
-procedure vectorised over a rectangle of points).  Row/column sections are
-partial evaluations of ``contains`` with one coordinate fixed.
+Membership has one per-point procedure, :func:`predicate` (and
+``_int_predicate`` for one-dimensional sets), which compiles an expression
+into a closure.  :func:`contains` and :func:`int_contains` are its validated
+entry points, and row/column sections fix one coordinate of it.
+:func:`grid_mask` decides the same relation vectorised over a box of points.
 
 Boundary convention: coordinates with m = 0 or n = 0 are outside every set;
 constructors and membership reject them.
@@ -166,25 +166,6 @@ class IntComplement(IntSetExpr):
     inner: IntSetExpr
 
 
-def int_contains(e: IntSetExpr, m: int) -> bool:
-    """Membership of a positive integer in a one-dimensional set."""
-    if m < 1:
-        return False
-    if isinstance(e, FullP):
-        return True
-    if isinstance(e, FiniteSet):
-        return m in e.elements
-    if isinstance(e, Multiples):
-        return m % e.modulus == 0
-    if isinstance(e, IntUnion):
-        return int_contains(e.left, m) or int_contains(e.right, m)
-    if isinstance(e, IntIntersection):
-        return int_contains(e.left, m) and int_contains(e.right, m)
-    if isinstance(e, IntComplement):
-        return not int_contains(e.inner, m)
-    raise TypeError(f"unknown IntSetExpr node {e!r}")
-
-
 def _multiples_mask(values: np.ndarray, p: int) -> np.ndarray:
     # a modulus above every value matches nothing (and would overflow int64)
     if p > values.max(initial=0):
@@ -213,8 +194,9 @@ def int_mask(e: IntSetExpr, values: np.ndarray) -> np.ndarray:
 
 
 def _int_predicate(e: IntSetExpr) -> Callable[[int], bool]:
+    """The one-dimensional :func:`predicate`: a closure over m >= 1."""
     if isinstance(e, FullP):
-        return lambda m: m >= 1
+        return lambda m: True
     if isinstance(e, FiniteSet):
         elems = frozenset(e.elements)
         return lambda m: m in elems
@@ -229,8 +211,13 @@ def _int_predicate(e: IntSetExpr) -> Callable[[int], bool]:
         return lambda m: f(m) and g(m)
     if isinstance(e, IntComplement):
         f = _int_predicate(e.inner)
-        return lambda m: m >= 1 and not f(m)
+        return lambda m: not f(m)
     raise TypeError(f"unknown IntSetExpr node {e!r}")
+
+
+def int_contains(e: IntSetExpr, m: int) -> bool:
+    """Membership of an integer in a one-dimensional set (False below 1)."""
+    return m >= 1 and _int_predicate(e)(m)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +329,8 @@ class Power(BoundFn):
     def exact_int(self, m: int) -> Optional[int]:
         if _frac_is_int(self.c) and _frac_is_int(self.alpha):
             a = int(self.alpha)
-            if a * math.log(max(m, 2)) >= _LOG_HUGE:
+            # an int compared with a float never overflows; row 1 is c for any a
+            if m > 1 and a >= _LOG_HUGE / math.log(m):
                 return _HUGE
             return int(self.c) * m ** a
         return None
@@ -607,52 +595,35 @@ def delimited_row_bounds(e: Delimited, m: int) -> tuple[int, int]:
 # Membership
 # ---------------------------------------------------------------------------
 
+# The predicate ``contains`` built last: callers test many points of one
+# expression in a row (a period block, the points of a finite atom).  One
+# tuple replaced whole, so a race between threads costs only a rebuild.
+_last_predicate: tuple = (None, None)
+
+
 def contains(e: GaussSetExpr, point: tuple[int, int]) -> bool:
-    """Semantic membership test; total over points with m, n >= 1."""
+    """Membership of one point: the validated entry point to :func:`predicate`.
+
+    Total over points with m, n >= 1 and rejects any other point.  Called
+    again with the same expression object, it reuses the predicate it built.
+    """
+    global _last_predicate
     m, n = point
     _check_positive_int(m, "point m")
     _check_positive_int(n, "point n")
-    return _contains(e, m, n)
-
-
-def _contains(e: GaussSetExpr, m: int, n: int) -> bool:
-    if isinstance(e, Empty):
-        return False
-    if isinstance(e, FullQuadrant):
-        return True
-    if isinstance(e, FinitePairs):
-        return (m, n) in e.pairs
-    if isinstance(e, Product):
-        return int_contains(e.h, m) and int_contains(e.v, n)
-    if isinstance(e, Lattice):
-        return m % e.p == 0 and n % e.q == 0
-    if isinstance(e, Translate):
-        m0, n0 = e.offset
-        return m > m0 and n > n0 and _contains(e.inner, m - m0, n - n0)
-    if isinstance(e, Dilate):
-        a, b = e.factor
-        return m % a == 0 and n % b == 0 and _contains(e.inner, m // a, n // b)
-    if isinstance(e, Union):
-        return _contains(e.left, m, n) or _contains(e.right, m, n)
-    if isinstance(e, Intersection):
-        return _contains(e.left, m, n) and _contains(e.right, m, n)
-    if isinstance(e, Complement):
-        return not _contains(e.inner, m, n)
-    if isinstance(e, Difference):
-        return _contains(e.left, m, n) and not _contains(e.right, m, n)
-    if isinstance(e, UpperQuadrant):
-        return m >= e.m0 and n >= e.n0
-    if isinstance(e, Delimited):
-        lo, hi = delimited_row_bounds(e, m)
-        return lo <= n <= hi
-    raise TypeError(f"unknown GaussSetExpr node {e!r}")
+    last, pred = _last_predicate
+    if last is not e:
+        pred = predicate(e)
+        _last_predicate = (e, pred)
+    return pred(m, n)
 
 
 def predicate(e: GaussSetExpr) -> Callable[[int, int], bool]:
-    """Partial evaluation of ``contains``: compile e into a closure.
+    """Compile e into a closure ``(m, n) -> bool`` deciding membership.
 
-    The closure decides exactly the same membership relation; it exists so
-    hot loops do not pay the structural recursion per point.
+    This is the one per-point membership procedure: the structural recursion
+    runs once here, not per point.  The closure expects m, n >= 1, which
+    :func:`contains` checks.
     """
     if isinstance(e, Empty):
         return lambda m, n: False
@@ -691,14 +662,12 @@ def predicate(e: GaussSetExpr) -> Callable[[int, int], bool]:
         m0, n0 = e.m0, e.n0
         return lambda m, n: m >= m0 and n >= n0
     if isinstance(e, Delimited):
-        lower, upper = e.lower, e.upper
         bounds_memo: dict[int, tuple[int, int]] = {}
 
         def delim_pred(m, n):
             b = bounds_memo.get(m)
             if b is None:
-                b = (lower.ceil_at(m), upper.floor_at(m))
-                bounds_memo[m] = b
+                b = bounds_memo[m] = delimited_row_bounds(e, m)
             return b[0] <= n <= b[1]
 
         return delim_pred

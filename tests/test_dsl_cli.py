@@ -319,10 +319,13 @@ def test_cli_constant_beyond_the_float_range_is_not_a_crash(capsys):
 def test_cli_exponent_beyond_the_float_range_is_an_engine_error(capsys):
     # the series engine takes a power's exponent as a float
     text = f"delim(pow(1,1/2),pow(1,{10 ** 400}))"
-    for command in ("estimate", "oracle"):
-        assert main([command, text]) == 1
-        captured = capsys.readouterr()
-        assert "engine error" in captured.err and "Traceback" not in captured.err
+    assert main(["estimate", text]) == 1
+    captured = capsys.readouterr()
+    assert "engine error" in captured.err and "Traceback" not in captured.err
+    # the oracle's row cuts are exact integers: row 1 is c, later rows saturate
+    assert main(["oracle", text]) == 0
+    captured = capsys.readouterr()
+    assert "oracle=" in captured.out and captured.err == ""
 
 
 def test_cli_closed_stdout_exits_1_quietly():

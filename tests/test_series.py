@@ -233,6 +233,18 @@ def test_density_at_sharp_vs_brute_box_far_from_one():
     assert ev.tail_bound <= 1e-9
 
 
+def test_band_with_a_large_integer_exponent_vs_brute_box():
+    # row 1 of c*m^a is c for every a: saturating it to 2^62 put the whole
+    # row, zeta(2) - 1, into the box, above the full series value
+    e = Delimited(Constant(1), Power(1, 100))
+    s = 2.0
+    n = 3000
+    ev = density_at(e, s, 1e-9)
+    box = partial_double_sum(e, s, n) / zeta(s) ** 2
+    box_tail = 2.0 * zeta(s) * n ** (1.0 - s) / (s - 1.0) / zeta(s) ** 2
+    assert ev.value - ev.tail_bound - box_tail <= box <= ev.value + ev.tail_bound
+
+
 def test_density_at_fast_equals_slow():
     # closed forms agree with generic truncation within the generic tail bound
     for entry in [e for e in by_tag("oracle") if e.density is not None][:10]:

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -35,7 +36,7 @@ from gaussdens import (
     predicate,
     row_section,
 )
-from gaussdens.sets import grid_mask
+from gaussdens.sets import grid_mask, int_contains, int_mask
 
 # ---------------------------------------------------------------------------
 # membership examples
@@ -63,6 +64,7 @@ from gaussdens.sets import grid_mask
         (Complement(Empty()), (1, 1), True),
         (Difference(Lattice(2, 2), Lattice(4, 4)), (2, 2), True),
         (Difference(Lattice(2, 2), Lattice(4, 4)), (4, 4), False),
+        (Delimited(Constant(1), Power(1, 100)), (1, 2), False),   # row 1 is {1}
     ],
 )
 def test_contains_examples(expr, point, expected):
@@ -286,11 +288,32 @@ def test_normalize_preserves_membership_on_grid(e):
 @settings(max_examples=60, deadline=None)
 @given(_exprs, st.integers(1, 64), st.integers(1, 64))
 def test_membership_realisations_agree(e, m, n):
+    # one drawn point, where grid_mask starts past row 1
     direct = contains(e, (m, n))
     assert predicate(e)(m, n) is direct
     assert row_section(e, n)(m) is direct
     assert col_section(e, m)(n) is direct
     assert bool(grid_mask(e, m, m, n)[0, n - 1]) is direct
+    # and every point of a box
+    box = grid_mask(e, 1, 24, 24)
+    pred = predicate(e)
+    rows = [row_section(e, k) for k in range(1, 25)]
+    for i in range(1, 25):
+        col = col_section(e, i)
+        for k in range(1, 25):
+            want = bool(box[i - 1, k - 1])
+            assert contains(e, (i, k)) is want
+            assert pred(i, k) is want
+            assert rows[k - 1](i) is want
+            assert col(k) is want
+
+
+@settings(max_examples=60, deadline=None)
+@given(_int_sets)
+def test_int_membership_realisations_agree(e):
+    assert not int_contains(e, 0)
+    want = int_mask(e, np.arange(1, 65)).tolist()
+    assert [int_contains(e, m) for m in range(1, 65)] == want
 
 
 @settings(max_examples=40, deadline=None)
