@@ -12,9 +12,12 @@ Subcommands::
 Exit codes: 0 success, 1 engine error, 2 parse/validation error,
 3 non-convergent estimate under --strict.
 
-Output is a human table by default; ``--format csv`` and ``--format json``
-switch the representation, ``--out PATH`` writes to files.  CSV output is
-byte-identical across runs and worker counts for identical inputs.
+Each subcommand builds its result once, as a JSON document, CSV rows and a
+table text, and one renderer (``_render``) writes the representation that
+``--format table|csv|json`` picks (a human table by default) to stdout, or to
+a file with ``--out PATH``.  ``sweep``'s table is its CSV, as is ``check``'s
+written to a file, and ``estimate``'s CSV is a points/summary pair.  CSV
+output is byte-identical across runs and worker counts for identical inputs.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -119,11 +121,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args, extra_eps: Optional[float] = None) -> EstimatorConfig:
+def _config(args) -> EstimatorConfig:
     k0, k1 = args.schedule
     return EstimatorConfig(
         s_schedule=schedule(k0, k1),
-        per_point_eps=extra_eps if extra_eps is not None else args.eps,
+        per_point_eps=args.eps,
         fit_degree=args.degree,
         term_budget=args.budget,
         workers=args.workers,
@@ -150,111 +152,95 @@ def _csv_text(rows: Sequence[dict]) -> str:
     return buf.getvalue()
 
 
+def _render(args, doc, rows, table: Optional[str]) -> None:
+    """Write a subcommand's result in the chosen format: ``doc`` as JSON,
+    ``rows`` as CSV, or the ``table`` text, which is the CSV where it is None.
+
+    ``estimate`` passes its rows as a (points, summary) pair: two files
+    BASE.points.csv and BASE.summary.csv with ``--out``, else points, a blank
+    line and summary on stdout.
+    """
+    if args.format == "json":
+        _emit(json.dumps(doc, indent=2, sort_keys=True), args.out)
+    elif args.format == "table" and table is not None:
+        _emit(table, args.out)
+    elif not isinstance(rows, tuple):
+        _emit(_csv_text(rows), args.out)
+    elif args.out:
+        base = args.out[:-4] if args.out.endswith(".csv") else args.out
+        _emit(_csv_text(rows[0]), base + ".points.csv")
+        _emit(_csv_text(rows[1]), base + ".summary.csv")
+    else:
+        _emit(_csv_text(rows[0]) + "\n" + _csv_text(rows[1]), None)
+
+
 def _cmd_exact(args) -> int:
     expr = parse_expression(args.expression)
     value = exact_density(expr)
-    if args.format == "json":
-        _emit(json.dumps(value.to_dict(), indent=2, sort_keys=True), args.out)
-    elif args.format == "csv":
-        row = {"kind": value.kind,
-               "value": repr(value.as_float()) if value.is_known else "",
-               "numerator": value.rational.numerator if value.kind == "rational" else "",
-               "denominator": value.rational.denominator if value.kind == "rational" else "",
-               "trace": ";".join(value.trace)}
-        _emit(_csv_text([row]), args.out)
+    rational = value.kind == "rational"
+    row = {"kind": value.kind,
+           "value": repr(value.as_float()) if value.is_known else "",
+           "numerator": value.rational.numerator if rational else "",
+           "denominator": value.rational.denominator if rational else "",
+           "trace": ";".join(value.trace)}
+    lines = [f"expression: {to_dsl(expr)}"]
+    if rational:
+        lines.append(f"density   = {value.rational} = {value.as_float()!r}")
+    elif value.kind == "real":
+        lines.append(f"density   = {value.as_float()!r}  ({value.symbolic})")
     else:
-        lines = [f"expression: {to_dsl(expr)}"]
-        if value.kind == "rational":
-            lines.append(f"density   = {value.rational} = {value.as_float()!r}")
-        elif value.kind == "real":
-            lines.append(f"density   = {value.as_float()!r}  ({value.symbolic})")
-        else:
-            lines.append("density   = unknown (no closed-form rule applies)")
-        if value.trace:
-            lines.append("trace     : " + " -> ".join(value.trace))
-        _emit("\n".join(lines), args.out)
+        lines.append("density   = unknown (no closed-form rule applies)")
+    if value.trace:
+        lines.append("trace     : " + " -> ".join(value.trace))
+    _render(args, value.to_dict(), [row], "\n".join(lines))
     return 0
-
-
-def _estimate_with_reference(expr, cfg):
-    reference = exact_density(expr)
-    report = estimate_density(expr, cfg, exact_reference=reference)
-    return reference, report
-
-
-def _report_tables(report) -> tuple[str, str]:
-    points = _csv_text([p.to_row() for p in report.points])
-    summary = _csv_text([report.summary_row()])
-    return points, summary
 
 
 def _cmd_estimate(args) -> int:
     expr = parse_expression(args.expression)
-    cfg = _config(args)
-    _, report = _estimate_with_reference(expr, cfg)
-    if args.format == "json":
-        _emit(json.dumps(report.to_dict(), indent=2, sort_keys=True), args.out)
-    elif args.format == "csv":
-        points, summary = _report_tables(report)
-        if args.out:
-            base = args.out[:-4] if args.out.endswith(".csv") else args.out
-            _emit(points, base + ".points.csv")
-            _emit(summary, base + ".summary.csv")
-        else:
-            _emit(points + "\n" + summary, None)
-    else:
-        lines = [f"expression  : {to_dsl(expr)}"]
-        for p in report.points:
-            lines.append(
-                f"  s={p.s:<12.10g} value={p.value:.12g} tail<={p.tail_bound:.3g} "
-                f"terms={p.terms_used} [{p.method}]"
-            )
-        lines.append(f"extrapolated: {report.extrapolated!r}"
-                     + (" (clamped)" if report.clamped else ""))
-        lines.append(f"fit residual: {report.fit_residual:.3g}   drift: {report.drift:.3g}")
-        lines.append(f"converged   : {report.converged}"
-                     + ("   [budget-limited]" if report.budget_limited else ""))
-        if report.exact_reference is not None and report.exact_reference.is_known:
-            exact = report.exact_reference.as_float()
-            lines.append(f"exact ref   : {exact!r}  |delta|={abs(report.extrapolated - exact):.3g}")
-        _emit("\n".join(lines), args.out)
-    if args.strict and not report.converged:
-        return 3
-    return 0
+    report = estimate_density(expr, _config(args), exact_reference=exact_density(expr))
+    lines = [f"expression  : {to_dsl(expr)}"]
+    for p in report.points:
+        lines.append(
+            f"  s={p.s:<12.10g} value={p.value:.12g} tail<={p.tail_bound:.3g} "
+            f"terms={p.terms_used} [{p.method}]"
+        )
+    lines.append(f"extrapolated: {report.extrapolated!r}"
+                 + (" (clamped)" if report.clamped else ""))
+    lines.append(f"fit residual: {report.fit_residual:.3g}   drift: {report.drift:.3g}")
+    lines.append(f"converged   : {report.converged}"
+                 + ("   [budget-limited]" if report.budget_limited else ""))
+    if report.exact_reference.is_known:
+        exact = report.exact_reference.as_float()
+        lines.append(f"exact ref   : {exact!r}  |delta|={abs(report.extrapolated - exact):.3g}")
+    points = [p.to_row() for p in report.points]
+    _render(args, report.to_dict(), (points, [report.summary_row()]), "\n".join(lines))
+    return 3 if args.strict and not report.converged else 0
 
 
 def _cmd_compare(args) -> int:
     expr = parse_expression(args.expression)
     cfg = _config(args)
-    reference, report = _estimate_with_reference(expr, cfg)
-    rows = [{
-        "exact": repr(reference.as_float()) if reference.is_known else "",
-        "extrapolated": repr(report.extrapolated),
-        "discrepancy": repr(abs(report.extrapolated - reference.as_float()))
-        if reference.is_known else "",
-        "converged": report.converged,
-    }]
-    if args.format == "json":
-        doc = {"exact": reference.to_dict(), "estimate": report.to_dict()}
-        if reference.is_known:
-            doc["discrepancy"] = repr(abs(report.extrapolated - reference.as_float()))
-        _emit(json.dumps(doc, indent=2, sort_keys=True), args.out)
-    elif args.format == "csv":
-        _emit(_csv_text(rows), args.out)
-    else:
-        lines = [f"expression  : {to_dsl(expr)}"]
-        if reference.is_known:
-            lines.append(f"exact       : {reference.as_float()!r}"
-                         f"  [{' -> '.join(reference.trace)}]")
-        else:
-            lines.append("exact       : unknown")
-        lines.append(f"extrapolated: {report.extrapolated!r} (converged={report.converged})")
-        if reference.is_known:
-            lines.append(f"discrepancy : {abs(report.extrapolated - reference.as_float()):.6g}")
-        _emit("\n".join(lines), args.out)
-    if args.strict and not report.converged:
-        return 3
-    return 0
+    reference = exact_density(expr)
+    report = estimate_density(expr, cfg, exact_reference=reference)
+    known = reference.is_known
+    exact = reference.as_float() if known else math.nan
+    discrepancy = abs(report.extrapolated - exact)
+    doc = {"exact": reference.to_dict(), "estimate": report.to_dict()}
+    if known:
+        doc["discrepancy"] = repr(discrepancy)
+    row = {"exact": repr(exact) if known else "",
+           "extrapolated": repr(report.extrapolated),
+           "discrepancy": repr(discrepancy) if known else "",
+           "converged": report.converged}
+    lines = [f"expression  : {to_dsl(expr)}",
+             f"exact       : {exact!r}  [{' -> '.join(reference.trace)}]" if known
+             else "exact       : unknown",
+             f"extrapolated: {report.extrapolated!r} (converged={report.converged})"]
+    if known:
+        lines.append(f"discrepancy : {discrepancy:.6g}")
+    _render(args, doc, [row], "\n".join(lines))
+    return 3 if args.strict and not report.converged else 0
 
 
 def _cmd_sweep(args) -> int:
@@ -264,12 +250,8 @@ def _cmd_sweep(args) -> int:
     for j in range(args.points):
         k = k0 + (k1 - k0) * j / (args.points - 1)
         s = 1.0 + 0.5 * 2.0 ** (-k)
-        ev = density_at(expr, s, args.eps, term_budget=args.budget, loosen=True)
-        rows.append(ev.to_row())
-    if args.format == "json":
-        _emit(json.dumps(rows, indent=2, sort_keys=True), args.out)
-    else:
-        _emit(_csv_text(rows), args.out)
+        rows.append(density_at(expr, s, args.eps, term_budget=args.budget, loosen=True).to_row())
+    _render(args, rows, rows, None)
     return 0
 
 
@@ -277,40 +259,21 @@ def _cmd_oracle(args) -> int:
     expr = parse_expression(args.expression)
     n = args.N
     rows = []
+    lines = [f"expression: {to_dsl(expr)}"]
     for s in _ORACLE_S:
         brute = brute_partial_sum(expr, s, n)
         fast = partial_double_sum(expr, s, n)
-        denom = max(abs(brute), 1e-300)
-        rows.append({
-            "check": "partial_sum",
-            "s": repr(s),
-            "N": n,
-            "oracle": repr(brute),
-            "engine": repr(fast),
-            "rel_diff": repr(abs(brute - fast) / denom),
-        })
+        rel = abs(brute - fast) / max(abs(brute), 1e-300)
+        row = {"check": "partial_sum", "s": repr(s), "N": n, "oracle": repr(brute),
+               "engine": repr(fast), "rel_diff": repr(rel)}
+        rows.append(row)
+        lines.append(f"  s={row['s']:<6} N={n} oracle={row['oracle']} "
+                     f"engine={row['engine']} rel_diff={row['rel_diff']}")
     count = counting_density(expr, n)
-    rows.append({
-        "check": "counting",
-        "s": "",
-        "N": n,
-        "oracle": repr(count.ratio),
-        "engine": "",
-        "rel_diff": "",
-    })
-    if args.format == "json":
-        _emit(json.dumps(rows, indent=2, sort_keys=True), args.out)
-    elif args.format == "csv":
-        _emit(_csv_text(rows), args.out)
-    else:
-        lines = [f"expression: {to_dsl(expr)}"]
-        for r in rows:
-            if r["check"] == "partial_sum":
-                lines.append(f"  s={r['s']:<6} N={r['N']} oracle={r['oracle']} "
-                             f"engine={r['engine']} rel_diff={r['rel_diff']}")
-            else:
-                lines.append(f"  box count ratio at N={r['N']}: {r['oracle']}")
-        _emit("\n".join(lines), args.out)
+    rows.append({"check": "counting", "s": "", "N": n, "oracle": repr(count.ratio),
+                 "engine": "", "rel_diff": ""})
+    lines.append(f"  box count ratio at N={n}: {count.ratio!r}")
+    _render(args, rows, rows, "\n".join(lines))
     return 0
 
 
@@ -318,46 +281,33 @@ def _cmd_oracle(args) -> int:
 # check: corpus invariant suite
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _CheckRow:
-    check: str
-    subject: str
-    status: str
-    detail: str
-
-    def to_row(self) -> dict:
-        return {"check": self.check, "subject": self.subject,
-                "status": self.status, "detail": self.detail}
-
-
-def _check_entry(item) -> list[_CheckRow]:
+def _check_entry(item) -> list[dict]:
     entry, args = item
-    rows: list[_CheckRow] = []
     expr = entry.expr
+    rows: list[dict] = []
+
+    def record(check: str, ok: bool, detail: str = "") -> None:
+        rows.append({"check": check, "subject": entry.name,
+                     "status": "pass" if ok else "FAIL", "detail": detail})
 
     # membership is preserved by normalisation on a 64x64 window
     mask_raw = grid_mask(expr, 1, 64, 64)
     mask_norm = grid_mask(normalize(expr), 1, 64, 64)
-    same = bool((mask_raw == mask_norm).all())
-    rows.append(_CheckRow("normalize-membership", entry.name,
-                          "pass" if same else "FAIL", ""))
+    record("normalize-membership", bool((mask_raw == mask_norm).all()))
 
     # exact engine agrees with the recorded corpus density
     value = exact_density(expr)
     if entry.density is None:
-        ok = not value.is_known
-        detail = value.kind
+        record("exact-density", not value.is_known, value.kind)
     else:
-        ok = value.is_known and value.rational == Fraction(entry.density)
-        detail = f"exact={value.rational if value.is_known else 'unknown'}"
-    rows.append(_CheckRow("exact-density", entry.name, "pass" if ok else "FAIL", detail))
+        record("exact-density", value.is_known and value.rational == Fraction(entry.density),
+               f"exact={value.rational if value.is_known else 'unknown'}")
 
     # brute force equals the fast partial sum at a small box
     brute = brute_partial_sum(expr, 1.5, 120)
     fast = partial_double_sum(expr, 1.5, 120)
     rel = abs(brute - fast) / max(abs(brute), 1e-300)
-    rows.append(_CheckRow("oracle-equivalence", entry.name,
-                          "pass" if rel <= 1e-12 else "FAIL", f"rel={rel!r}"))
+    record("oracle-equivalence", rel <= 1e-12, f"rel={rel!r}")
 
     # extrapolation matches the exact value
     if "estimate" in entry.tags and entry.density is not None:
@@ -370,28 +320,18 @@ def _check_entry(item) -> list[_CheckRow]:
             tol = 5e-3
         report = estimate_density(expr, cfg)
         delta = abs(report.extrapolated - float(entry.density))
-        rows.append(_CheckRow("estimate-agreement", entry.name,
-                              "pass" if delta <= tol else "FAIL",
-                              f"delta={delta!r}"))
+        record("estimate-agreement", delta <= tol, f"delta={delta!r}")
     return rows
 
 
 def _cmd_check(args) -> int:
     entries = [(c, args) for c in corpus_mod.CORPUS]
-    groups = ordered_map(_check_entry, entries, args.workers)
-    rows = [row.to_row() for group in groups for row in group]
+    rows = [row for group in ordered_map(_check_entry, entries, args.workers) for row in group]
     failed = sum(1 for r in rows if r["status"] != "pass")
-    if args.format == "json":
-        _emit(json.dumps(rows, indent=2, sort_keys=True), args.out)
-    else:
-        text = _csv_text(rows)
-        if args.format == "table" and args.out is None:
-            for r in rows:
-                sys.stdout.write(f"{r['status']:>4}  {r['check']:<22} {r['subject']:<24}"
-                                 f" {r['detail']}\n")
-            sys.stdout.write(f"{len(rows) - failed}/{len(rows)} checks passed\n")
-        else:
-            _emit(text, args.out)
+    lines = [f"{r['status']:>4}  {r['check']:<22} {r['subject']:<24} {r['detail']}" for r in rows]
+    lines.append(f"{len(rows) - failed}/{len(rows)} checks passed")
+    # written to a file, the table is the CSV
+    _render(args, rows, rows, "\n".join(lines) if args.out is None else None)
     return 0 if failed == 0 else 1
 
 

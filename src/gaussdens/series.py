@@ -85,6 +85,7 @@ rows and a binary search instead of passes over the block.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
@@ -304,16 +305,16 @@ class _Side(NamedTuple):
     inv: float      # 1/alpha of a power with 0 < alpha < 1 (its cut keeps runs), else 0
 
 
-@lru_cache(maxsize=256)
 def _side_of(b: BoundFn) -> _Side:
     if isinstance(b, Exponential):
         return _Side(Exponential, *_coef(b.c), _coef(b.a)[1], False, 0.0)
     if isinstance(b, Constant):
         return _Side(Constant, *_coef(b.k), 0.0, False, 0.0)
     c, log_c = _coef(b.c)
-    runs = 0 < b.alpha < 1 and 0.0 < c < math.inf
+    # runs need 1/alpha as a finite float: not so for alpha below ~1e-308
+    inv = 1 / b.alpha if 0 < b.alpha < 1 and 0.0 < c < math.inf else 0
     return _Side(Power, c, log_c, float(b.alpha), b.exact_int(1) is not None,
-                 float(1 / b.alpha) if runs else 0.0)
+                 float(inv) if inv < sys.float_info.max else 0.0)
 
 
 def _coef_pow(c: float, log_c: float, p: float) -> float:
@@ -594,9 +595,10 @@ def _constant_side(b: _Side, lower: bool, v_min: int, s: float, an: int,
     return side
 
 
-def _row_block(atom: DelimAtom, s: float, u: np.ndarray):
+def _row_block(atom: DelimAtom, sides: tuple[_Side, _Side], s: float, u: np.ndarray):
     """(w, inner, jitter) on ascending rows u: the outer weight (am*u+bm)^(-s),
-    the inner range sum and the cut-jitter bound (None if 0 on every row)."""
+    the inner range sum and the cut-jitter bound (None if 0 on every row).
+    sides are the atom's (lower, upper) bounds as _side_of gives them."""
     am, bm, an, bn = atom.am, atom.bm, atom.an, atom.bn
     if (am, bm) == (1, 0):
         w = np.power(u, -s)
@@ -606,7 +608,7 @@ def _row_block(atom: DelimAtom, s: float, u: np.ndarray):
         np.power(w, -s, out=w)
     logu = None
     rows = []
-    for b, lower in ((_side_of(atom.lower), True), (_side_of(atom.upper), False)):
+    for b, lower in zip(sides, (True, False)):
         if b.kind is Constant:
             rows.append(_constant_side(b, lower, atom.v_min, s, an, bn))
             continue
@@ -646,6 +648,7 @@ def _direct_rows(atom: DelimAtom, s: float, M: int) -> tuple[list[float], float,
     # cannot, and the rows after it take one value per side and no correction
     saturated = [_crossover_u(b, float(_HUGE)) for b in (atom.lower, atom.upper)]
     settled = max((u for u in saturated if u < atom.u_min + _BLOCK_ROWS), default=0)
+    sides = (_side_of(atom.lower), _side_of(atom.upper))
     for lo in range(atom.u_min, M + 1, _CHUNK_ROWS):
         hi = min(lo + _CHUNK_ROWS - 1, M)
         any_jit = False
@@ -655,7 +658,7 @@ def _direct_rows(atom: DelimAtom, s: float, M: int) -> tuple[list[float], float,
             if b0 < settled <= b1:
                 b1 = settled - 1
             i, j = b0 - lo, b1 - lo + 1
-            w, inner, big = _row_block(atom, s, np.arange(float(b0), float(b1) + 1.0))
+            w, inner, big = _row_block(atom, sides, s, np.arange(float(b0), float(b1) + 1.0))
             np.multiply(w, inner, out=prod[i:j])
             if big is None:
                 jit[i:j] = 0.0
@@ -689,6 +692,8 @@ def _crossover_u(b: BoundFn, target: float) -> int:
         log_ratio = math.log(target / c) if inside else math.log(target) - log_c
         if log_ratio >= _LOG_HUGE * al:
             return _HUGE
+        if al == 0.0:   # alpha below the float range, and c is past the target
+            return 1
         root = (target / c) ** (1.0 / al) if inside else math.exp(log_ratio / al)
         return max(1, int(math.ceil(root)) + 1)
     assert isinstance(b, Exponential)

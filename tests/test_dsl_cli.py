@@ -1,5 +1,7 @@
 """DSL parsing, printing, and the command-line front end."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -290,6 +292,16 @@ def test_cli_tiny_exponent_band_is_unmet_not_a_crash(capsys):
         assert "converged=False" in captured.out or "budget-limited" in captured.out
 
 
+def test_cli_exponent_below_the_float_range(capsys):
+    # alpha = 10^-400 is 0.0 as a float, and 1/alpha overflows one
+    text = f"delim(pow(1000,1/{10 ** 400}),pow(1000,2))"
+    extra = {"sweep": ["--points", "2"], "oracle": ["--N", "20"]}
+    for command in ("exact", "estimate", "compare", "sweep", "oracle"):
+        argv = [command, text, "--schedule", "0..3", "--budget", "200000"]
+        assert main(argv + extra.get(command, [])) == 0, command
+        assert capsys.readouterr().err == "", command
+
+
 def test_cli_coefficient_beyond_the_float_range(capsys):
     c = 10 ** 400
     text = f"delim(pow({c},1/2),pow({c},2))"
@@ -360,6 +372,97 @@ def test_cli_sweep_csv(tmp_path):
         assert float(value) == pytest.approx(4.0 ** -float(s), rel=1e-12)
 
 
+# every format of every subcommand: one renderer writes them all
+
+_SMALL = ["--schedule", "0..3", "--budget", "200000"]
+
+
+def _run(argv, capsys):
+    """stdout of a run that exits 0 and writes nothing to stderr"""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == "", argv
+    return captured.out
+
+
+def test_cli_exact_csv(capsys):
+    lines = _run(["exact", "lattice(2,3)", "--format", "csv"], capsys).split("\n")
+    assert lines[0] == "kind,value,numerator,denominator,trace"
+    assert lines[1].startswith("rational,") and ",1,6," in lines[1]
+    assert lines[2:] == [""]
+
+
+def test_cli_estimate_json_and_csv_on_stdout(capsys):
+    doc = json.loads(_run(["estimate", "lattice(2,3)", "--format", "json"] + _SMALL, capsys))
+    assert set(doc) == {"extrapolated", "raw_extrapolated", "clamped", "fit_residual", "drift",
+                        "converged", "budget_limited", "points", "exact_reference"}
+    assert [set(p) for p in doc["points"]] == [
+        {"s", "value", "tail_bound", "terms_used", "method"}] * 4
+    assert doc["exact_reference"]["denominator"] == 6
+    # the points table, a blank line, the summary table
+    out = _run(["estimate", "lattice(2,3)", "--format", "csv"] + _SMALL, capsys)
+    points, summary = out.split("\n\n")
+    points = points.split("\n")
+    assert points[0] == "s,value,tail_bound,terms_used,method" and len(points) == 5
+    summary = summary.split("\n")
+    assert summary[0] == "extrapolated,fit_residual,drift,converged,clamped,budget_limited,exact"
+    assert len(summary) == 3 and summary[2] == ""
+
+
+def test_cli_compare_csv_and_json(capsys):
+    lines = _run(["compare", "lattice(2,3)", "--format", "csv"] + _SMALL, capsys).split("\n")
+    assert lines[0] == "exact,extrapolated,discrepancy,converged"
+    assert len(lines) == 3 and lines[2] == ""
+    doc = json.loads(_run(["compare", "lattice(2,3)", "--format", "json"] + _SMALL, capsys))
+    assert set(doc) == {"exact", "estimate", "discrepancy"}
+    assert doc["exact"]["kind"] == "rational" and len(doc["estimate"]["points"]) == 4
+    # an unknown density has no discrepancy
+    unknown = "inter(delim(pow(1,1/2),pow(1,2)),lattice(2,2))"
+    doc = json.loads(_run(["compare", unknown, "--format", "json", "--schedule", "0..3",
+                           "--budget", "20000"], capsys))
+    assert set(doc) == {"exact", "estimate"} and doc["exact"]["kind"] == "unknown"
+
+
+def test_cli_sweep_json_and_table(capsys):
+    argv = ["sweep", "lattice(2,2)", "--points", "3"] + _SMALL
+    rows = json.loads(_run(argv + ["--format", "json"], capsys))
+    assert [set(r) for r in rows] == [{"s", "value", "tail_bound", "terms_used", "method"}] * 3
+    # sweep's table is its CSV
+    table = _run(argv, capsys)
+    assert table == _run(argv + ["--format", "csv"], capsys)
+    assert table.startswith("s,value,tail_bound,terms_used,method\n") and table.count("\n") == 4
+
+
+def test_cli_check_json_and_table(tmp_path, capsys):
+    rows = json.loads(_run(["check", "--format", "json"], capsys))
+    assert rows and all(set(r) == {"check", "subject", "status", "detail"} for r in rows)
+    lines = _run(["check"], capsys).split("\n")
+    assert len(lines) == len(rows) + 2 and lines[-1] == ""
+    assert all(line.startswith("pass  ") for line in lines[:-2])
+    assert lines[-2] == f"{len(rows)}/{len(rows)} checks passed"
+    # written to a file, check's table is its CSV
+    out = tmp_path / "check.txt"
+    assert main(["check", "--out", str(out)]) == 0
+    assert out.read_text() == _run(["check", "--format", "csv"], capsys)
+    assert out.read_text().startswith("check,subject,status,detail\n")
+
+
+_FUZZ_FLAGS = {"exact": [], "estimate": [], "compare": [],
+               "sweep": ["--points", "2"], "oracle": ["--N", "20"]}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_exprs, st.sampled_from(("table", "csv", "json")))
+def test_cli_fuzz_every_subcommand_exits_with_a_contract_code(e, fmt):
+    text = to_dsl(e)
+    for command, extra in _FUZZ_FLAGS.items():
+        argv = [command, text, "--budget", "20000", "--schedule", "0..3", "--format", fmt] + extra
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3), (argv, err.getvalue())
+
+
 def test_cli_estimate_csv_pair(tmp_path):
     base = tmp_path / "report.csv"
     code = main(["estimate", "lattice(2,3)", "--format", "csv", "--out", str(base)])
@@ -379,6 +482,13 @@ def test_cli_oracle(capsys):
         if line.startswith("partial_sum"):
             rel = float(line.rsplit(",", 1)[1])
             assert rel <= 1e-12
+    lines = _run(["oracle", "lattice(2,2)", "--N", "60"], capsys).split("\n")
+    assert lines[0] == "expression: lattice(2,2)"
+    assert [line[:4] for line in lines[1:5]] == ["  s="] * 4
+    assert lines[5].startswith("  box count ratio at N=60: ") and lines[6:] == [""]
+    rows = json.loads(_run(["oracle", "lattice(2,2)", "--N", "60", "--format", "json"], capsys))
+    assert [r["check"] for r in rows] == ["partial_sum"] * 4 + ["counting"]
+    assert all(set(r) == {"check", "s", "N", "oracle", "engine", "rel_diff"} for r in rows)
 
 
 def test_cli_config_file(tmp_path, capsys):

@@ -245,6 +245,19 @@ def test_band_with_a_large_integer_exponent_vs_brute_box():
     assert ev.value - ev.tail_bound - box_tail <= box <= ev.value + ev.tail_bound
 
 
+def test_band_with_an_exponent_below_the_float_range_vs_brute_box():
+    # alpha = 10^-400 is 0.0 as a float: the lower side is 1000 on every row
+    # the box reaches, and its crossover of any target below 1000 is row 1
+    e = Delimited(Power(1000, Fraction(1, 10 ** 400)), Power(1000, 2))
+    s = 1.5
+    n = 3000
+    ev = density_at(e, s, 1e-6)
+    box = partial_double_sum(e, s, n) / zeta(s) ** 2
+    box_tail = 2.0 * zeta(s) * n ** (1.0 - s) / (s - 1.0) / zeta(s) ** 2
+    assert box > 0.0
+    assert ev.value - ev.tail_bound - box_tail <= box <= ev.value + ev.tail_bound
+
+
 def test_density_at_fast_equals_slow():
     # closed forms agree with generic truncation within the generic tail bound
     for entry in [e for e in by_tag("oracle") if e.density is not None][:10]:
@@ -565,7 +578,8 @@ def _reference_row_block(atom, s, u):
 
 
 def _block_matches_reference(atom, s, u):
-    w, inner, jitter = series._row_block(atom, s, u)
+    sides = (series._side_of(atom.lower), series._side_of(atom.upper))
+    w, inner, jitter = series._row_block(atom, sides, s, u)
     want = _reference_row_block(atom, s, u)
     got = (w, inner, np.zeros(u.shape) if jitter is None else jitter)
     return all(np.array_equal(np.broadcast_to(g, u.shape), x) for g, x in zip(got, want))
@@ -612,9 +626,9 @@ def test_the_first_block_ends_where_the_sides_saturate(monkeypatch):
     blocks = []
     row_block = series._row_block
 
-    def spy(a, s, u):
+    def spy(a, sides, s, u):
         blocks.append(u)
-        return row_block(a, s, u)
+        return row_block(a, sides, s, u)
 
     monkeypatch.setattr(series, "_row_block", spy)
     s, M = 1.0078125, 40_000
