@@ -138,8 +138,13 @@ def _emit(text: str, out: Optional[str]) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", newline="") as fh:
+                fh.write(text)
+        except BrokenPipeError:
+            raise  # a closed reader at --out /dev/stdout exits 1 quietly, as on stdout
+        except OSError as exc:
+            raise ValidationError(f"cannot write --out: {exc}") from None
 
 
 def _csv_text(rows: Sequence[dict]) -> str:
@@ -160,13 +165,15 @@ def _render(args, doc, rows, table: Optional[str]) -> None:
     BASE.points.csv and BASE.summary.csv with ``--out``, else points, a blank
     line and summary on stdout.
     """
+    if args.out == "":
+        raise ValidationError("cannot write --out: the path is empty")
     if args.format == "json":
         _emit(json.dumps(doc, indent=2, sort_keys=True), args.out)
     elif args.format == "table" and table is not None:
         _emit(table, args.out)
     elif not isinstance(rows, tuple):
         _emit(_csv_text(rows), args.out)
-    elif args.out:
+    elif args.out is not None:
         base = args.out[:-4] if args.out.endswith(".csv") else args.out
         _emit(_csv_text(rows[0]), base + ".points.csv")
         _emit(_csv_text(rows[1]), base + ".summary.csv")
@@ -177,22 +184,17 @@ def _render(args, doc, rows, table: Optional[str]) -> None:
 def _cmd_exact(args) -> int:
     expr = parse_expression(args.expression)
     value = exact_density(expr)
-    rational = value.kind == "rational"
-    row = {"kind": value.kind,
-           "value": repr(value.as_float()) if value.is_known else "",
-           "numerator": value.rational.numerator if rational else "",
-           "denominator": value.rational.denominator if rational else "",
-           "trace": ";".join(value.trace)}
+    doc = value.to_dict()
+    row = {key: doc.get(key, "") for key in ("kind", "value", "numerator", "denominator")}
+    row["trace"] = ";".join(value.trace)
     lines = [f"expression: {to_dsl(expr)}"]
-    if rational:
+    if value.is_known:
         lines.append(f"density   = {value.rational} = {value.as_float()!r}")
-    elif value.kind == "real":
-        lines.append(f"density   = {value.as_float()!r}  ({value.symbolic})")
     else:
         lines.append("density   = unknown (no closed-form rule applies)")
     if value.trace:
         lines.append("trace     : " + " -> ".join(value.trace))
-    _render(args, value.to_dict(), [row], "\n".join(lines))
+    _render(args, doc, [row], "\n".join(lines))
     return 0
 
 

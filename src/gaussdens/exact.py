@@ -20,14 +20,16 @@ progressions and finite lists; its density is the sum of coefficient over
 step of the progressions, and an axis section is finite exactly when that
 density is 0.  So every set-algebra rule lives in ``gaussdens.atoms``.
 
-One Unknown atom makes the whole density Unknown -- never a guess.  Every
-known value carries a trace: the algebra rules of its nodes, then the rules
-of its atoms.
+Bound parameters are rationals, so every rule gives a rational and every
+known density is an exact ``Fraction``, summed exactly from atom to total:
+``kind`` is ``"rational"`` or ``"unknown"``, and the JSON and CSV forms always
+carry the numerator and denominator of a known value.  One Unknown atom makes
+the whole density Unknown -- never a guess.  Every known value carries a
+trace: the algebra rules of its nodes, then the rules of its atoms.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional
@@ -74,81 +76,51 @@ __all__ = [
     "axis_section_finite",
 ]
 
-# ExactReal is only used when a bound parameter is not a readable rational
-# (e.g. a float without a small exact form); exact rationals keep their
-# Fraction representation.
-_RATIONAL_DENOMINATOR_CAP = 10 ** 6
-
 
 @dataclass(frozen=True)
 class DensityValue:
-    """Exact density: a rational, a real with a symbolic form, or Unknown."""
+    """Exact density: a rational in [0, 1], or Unknown when ``rational`` is None."""
 
-    kind: str                      # "rational" | "real" | "unknown"
     rational: Optional[Fraction]
-    value: Optional[float]
-    symbolic: Optional[str]
-    trace: tuple[str, ...]
+    trace: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.kind == "rational":
-            assert self.rational is not None and 0 <= self.rational <= 1
-        elif self.kind == "real":
-            assert self.value is not None and -1e-12 <= self.value <= 1 + 1e-12
-        elif self.kind == "unknown":
-            assert self.rational is None and self.value is None
-        else:
-            raise ValueError(f"bad DensityValue kind {self.kind!r}")
-        if self.kind != "unknown":
+        if self.rational is not None:
+            assert 0 <= self.rational <= 1
             assert self.trace, "known densities must carry a derivation trace"
-
-    # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def from_fraction(x: Fraction, trace: tuple[str, ...]) -> "DensityValue":
-        return DensityValue("rational", x, float(x), None, trace)
-
-    @staticmethod
-    def from_real(value: float, symbolic: str, trace: tuple[str, ...]) -> "DensityValue":
-        return DensityValue("real", None, value, symbolic, trace)
 
     @staticmethod
     def unknown() -> "DensityValue":
-        return DensityValue("unknown", None, None, None, ())
+        return DensityValue(None)
 
-    # -- accessors ------------------------------------------------------------
+    @property
+    def kind(self) -> str:
+        return "rational" if self.is_known else "unknown"
 
     @property
     def is_known(self) -> bool:
-        return self.kind != "unknown"
+        return self.rational is not None
 
     def as_float(self) -> float:
         if not self.is_known:
             raise ValueError("density is unknown")
-        return float(self.value)
+        return float(self.rational)
 
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind, "trace": list(self.trace)}
         if self.is_known:
-            out["value"] = repr(float(self.value))
-        if self.kind == "rational":
+            out["value"] = repr(self.as_float())
             out["numerator"] = self.rational.numerator
             out["denominator"] = self.rational.denominator
-        if self.symbolic is not None:
-            out["symbolic"] = self.symbolic
         return out
 
 
-def _known_fraction(x: Fraction, *traces: tuple[str, ...] | str) -> DensityValue:
-    return DensityValue.from_fraction(x, _merge_traces(*traces))
-
-
 def _merge_traces(*parts) -> tuple[str, ...]:
-    """The rule names of the parts (names or tuples of names), adjacent
-    duplicates removed."""
+    """The rule names of the parts (sequences of names), adjacent duplicates
+    removed."""
     out: list[str] = []
     for p in parts:
-        for x in (p,) if isinstance(p, str) else p:
+        for x in p:
             if not out or out[-1] != x:
                 out.append(x)
     return tuple(out)
@@ -172,7 +144,7 @@ def exact_density_1d(e: IntSetExpr) -> DensityValue:
     density = sum((Fraction(c, a.step) for a, c in atoms.items() if isinstance(a, Prog)),
                   Fraction(0))
     rules = [_ATOM_RULES_1D[type(a)] for a in atoms] or ["finite-null"]
-    return _known_fraction(density, _node_rules(e), *dict.fromkeys(rules))
+    return DensityValue(density, _merge_traces(_node_rules(e), dict.fromkeys(rules)))
 
 
 def _axis_1d(e: IntSetExpr) -> str:
@@ -235,64 +207,42 @@ def axis_section_finite(e: GaussSetExpr) -> tuple[str, str]:
 # Two-dimensional density
 # ---------------------------------------------------------------------------
 
-def _delimited_density(atom: DelimAtom) -> DensityValue:
-    """Density of the band before its affine map; lower cuts do not change it."""
+def _delimited_density(atom: DelimAtom) -> tuple[Fraction, str]:
+    """Density of the band before its affine map, with its rule; lower cuts do
+    not change it."""
     lower, upper = atom.lower, atom.upper
     if isinstance(lower, Exponential):
         # thins faster than any power band; the power value 1/(1+alpha)
         # vanishes as alpha grows without bound
-        return _known_fraction(Fraction(0), "exp-lower-null")
+        return Fraction(0), "exp-lower-null"
 
     _, alpha = power_form(lower)
     if isinstance(upper, Exponential):
         if alpha == 0:
-            return _known_fraction(Fraction(1), "exp-upper-full")
-        value = Fraction(1) / (1 + alpha)
-        return _rational_or_real(value, alpha, None, ("power-lower-exp-upper",))
+            return Fraction(1), "exp-upper-full"
+        return 1 / (1 + alpha), "power-lower-exp-upper"
 
     _, beta = power_form(upper)
-    value = Fraction(1) / (1 + alpha) - Fraction(1) / (1 + beta)
-    return _rational_or_real(value, alpha, beta, ("power-bounds",))
+    return 1 / (1 + alpha) - 1 / (1 + beta), "power-bounds"
 
 
-def _rational_or_real(
-    value: Fraction, alpha: Fraction, beta: Optional[Fraction], trace: tuple[str, ...]
-) -> DensityValue:
-    simple = alpha.denominator <= _RATIONAL_DENOMINATOR_CAP and (
-        beta is None or beta.denominator <= _RATIONAL_DENOMINATOR_CAP
-    )
-    if simple:
-        return _known_fraction(value, trace)
-    if beta is None:
-        symbolic = f"1/(1+{float(alpha)!r})"
-    else:
-        symbolic = f"1/(1+{float(alpha)!r}) - 1/(1+{float(beta)!r})"
-    return DensityValue.from_real(float(value), symbolic, trace)
-
-
-def _atom_density(atom) -> DensityValue:
-    """Closed-form density of one compiled atom."""
+def _atom_density(atom) -> tuple[Optional[Fraction], tuple[str, ...]]:
+    """Closed-form density of one compiled atom (None when it has none), with
+    its rules."""
     if isinstance(atom, ProdAtom):
         if isinstance(atom.h, Prog) and isinstance(atom.v, Prog):
-            return _known_fraction(Fraction(1, atom.h.step * atom.v.step),
-                                   "product-rule", "multiples-rule")
-        return _known_fraction(Fraction(0), "product-rule", "finite-null")
+            return Fraction(1, atom.h.step * atom.v.step), ("product-rule", "multiples-rule")
+        return Fraction(0), ("product-rule", "finite-null")
     if isinstance(atom, FinAtom):
-        return _known_fraction(Fraction(0), "finite-pairs")
+        return Fraction(0), ("finite-pairs",)
     if isinstance(atom, DelimAtom):
-        band = _delimited_density(atom)
-        scale = atom.am * atom.an
-        if scale == 1:
-            return band
-        if band.kind == "rational":
-            return _known_fraction(band.rational / scale, band.trace)
-        return DensityValue.from_real(band.value / scale, f"({band.symbolic})/{scale}",
-                                      band.trace)
+        band, rule = _delimited_density(atom)
+        return band / (atom.am * atom.an), (rule,)
     assert isinstance(atom, GenAtom)
     # normalising first lets a double complement inside the atom read as finite
     if "finite" in axis_section_finite(normalize(atom.expr)):
-        return _known_fraction(Fraction(0), "finite-axis-section")
-    return DensityValue.unknown()
+        return Fraction(0), ("finite-axis-section",)
+    return None, ()
 
 
 _NODE_RULES = {
@@ -322,20 +272,11 @@ def _node_rules(e) -> list[str]:
 
 
 def exact_density(e: GaussSetExpr) -> DensityValue:
-    """Density of a quadrant set: the sum of coefficient times closed-form
-    density over the atoms the set compiles to, Unknown when an atom has none."""
-    parts = [(c, _atom_density(a)) for a, c in compile_set(e).items()]
-    if not all(d.is_known for _, d in parts):
+    """Density of a quadrant set: the exact sum of coefficient times
+    closed-form density over the atoms the set compiles to, Unknown when an
+    atom has none."""
+    parts = [(c, *_atom_density(a)) for a, c in compile_set(e).items()]
+    if any(d is None for _, d, _ in parts):
         return DensityValue.unknown()
-    trace = _merge_traces(_node_rules(e), *dict.fromkeys(d.trace for _, d in parts))
-    rational = sum((c * d.rational for c, d in parts if d.kind == "rational"), Fraction(0))
-    reals = [(c, d) for c, d in parts if d.kind == "real"]
-    if not reals:
-        return DensityValue.from_fraction(rational, trace)
-    terms = [str(rational)] if rational else []
-    for c, d in reals:
-        times = "" if abs(c) == 1 else f"{abs(c)}*"
-        terms.append(f"{'-' if c < 0 else '+'} {times}({d.symbolic})")
-    symbolic = " ".join(terms).removeprefix("+ ")
-    value = float(rational) + math.fsum(c * d.value for c, d in reals)
-    return DensityValue.from_real(value, symbolic, trace)
+    trace = _merge_traces(_node_rules(e), *dict.fromkeys(rules for _, _, rules in parts))
+    return DensityValue(sum((c * d for c, d, _ in parts), Fraction(0)), trace)

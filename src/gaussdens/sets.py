@@ -402,8 +402,7 @@ def _dominates(upper: BoundFn, lower: BoundFn) -> bool:
     """Does upper(m) >= lower(m) hold for every integer m >= 1?
 
     Decided per variant pair: compare growth classes first, then coefficients;
-    a finite scan covers the window where an eventually-dominant ratio may
-    still dip (power below exponential dips until m ~ alpha / ln a).
+    a power below an exponential is checked where their ratio is smallest.
     """
     lo_kind = type(lower)
     up_kind = type(upper)
@@ -416,14 +415,18 @@ def _dominates(upper: BoundFn, lower: BoundFn) -> bool:
         return c_up >= c_lo  # ratio nondecreasing, minimum at m = 1
 
     if up_kind is Exponential and lo_kind in (Constant, Power):
-        _, a_lo = power_form(lower)
-        # ratio upper/lower decreases until m* = alpha / ln(a), then increases
-        m_star = float(a_lo) / _coef(upper.a)[1]
-        scan_to = int(math.ceil(m_star)) + 2
-        for m in range(1, max(scan_to, 2) + 1):
-            if upper.log_value(m) < lower.log_value(m) - 1e-12:
-                return False
-        return True
+        c_lo, alpha = power_form(lower)
+        # log(upper/lower) = gap + m log a - alpha log m is convex in m with its
+        # minimum at m* = alpha / log a, so over the integers it is smallest
+        # next to m*.  The logs are floats and the rest is Fraction
+        # arithmetic, so no parameter is ever taken as a float.
+        a = upper.a
+        log_a = Fraction(_coef(a)[1]) if a >= 2 else Fraction(math.log1p(float(a - 1)))
+        log_a = log_a or a - 1   # where a - 1 underflows, log a = a - 1 to that precision
+        gap = Fraction(_coef(upper.c)[1]) - Fraction(_coef(c_lo)[1])
+        m0 = max(1, math.floor(alpha / log_a))
+        return all(gap + m * log_a - alpha * Fraction(math.log(m)) >= -1e-12
+                   for m in (m0, m0 + 1))
 
     if up_kind in (Constant, Power) and lo_kind is Exponential:
         return False  # exponential lower overtakes any power upper

@@ -340,19 +340,62 @@ def test_cli_exponent_beyond_the_float_range_is_an_engine_error(capsys):
     assert "oracle=" in captured.out and captured.err == ""
 
 
-def test_cli_closed_stdout_exits_1_quietly():
-    # the reader closes the pipe before the first write
+def _run_with_closed_stdout(*argv) -> tuple[int, bytes]:
+    """Exit code and stderr of the CLI whose reader closes the pipe before
+    the first write."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "gaussdens.cli", "estimate", "P2", "--format", "json"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc = subprocess.Popen([sys.executable, "-m", "gaussdens.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
-    assert proc.wait(timeout=120) == 1
-    assert err == b""
+    return proc.wait(timeout=120), err
+
+
+def test_cli_closed_stdout_exits_1_quietly():
+    assert _run_with_closed_stdout("estimate", "P2", "--format", "json") == (1, b"")
+
+
+def test_cli_closed_reader_at_the_out_path_exits_1_quietly():
+    # a broken pipe is not an unwritable path
+    assert _run_with_closed_stdout("estimate", "P2", "--format", "json",
+                                   "--out", "/dev/stdout") == (1, b"")
+
+
+@pytest.mark.parametrize("argv", [
+    ["exact", "P2", "--out", "{missing}/x.txt"],
+    ["exact", "P2", "--out", ""],
+    ["estimate", "P2", "--format", "csv", "--schedule", "0..3", "--out", "{missing}/x.csv"],
+    ["estimate", "P2", "--format", "csv", "--schedule", "0..3", "--out", ""],
+    ["sweep", "P2", "--points", "2", "--out", "{missing}/sweep.csv"],
+])
+def test_cli_unwritable_out_path_is_a_usage_error(argv, tmp_path, capsys):
+    argv = [a.format(missing=tmp_path / "missing") for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write --out") and captured.err.count("\n") == 1
+
+
+def test_cli_exact_exponents_past_the_float_range_stay_rational(capsys):
+    big = 10 ** 400
+    assert main(["exact", f"delim(pow(1,1/{big}),pow(1,{big}))", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    expected = 1 / (1 + Fraction(1, big)) - Fraction(1, 1 + big)
+    assert doc["kind"] == "rational"
+    assert Fraction(doc["numerator"], doc["denominator"]) == expected
+    assert doc["trace"] == ["power-bounds"]
+
+
+def test_cli_exponent_past_the_float_range_under_an_exponential_is_rejected(capsys):
+    big = 10 ** 400
+    text = f"delim(pow(1,{big}),exp({big},2))"
+    for command in ("exact", "estimate", "compare", "sweep", "oracle"):
+        assert main([command, text]) == 2, command
+        err = capsys.readouterr().err
+        assert "upper bound must dominate" in err and err.count("\n") == 1, command
 
 
 def test_cli_oracle_modulus_beyond_int64(capsys):

@@ -424,11 +424,20 @@ def test_deep_python_built_union():
     assert exact_density(e).rational == 1
 
 
-def test_exact_real_for_wide_fraction_parameters():
-    import math
-    alpha = Fraction(math.sqrt(2))  # denominator far beyond the rational cap
+def test_exact_rational_for_wide_fraction_parameters():
+    alpha = Fraction(math.sqrt(2))  # the float's exact binary expansion, denominator 2^52
     v = exact_density(Delimited(Power(1, alpha), Power(1, 2)))
-    assert v.kind == "real"
-    assert v.symbolic is not None
-    expected = 1 / (1 + math.sqrt(2)) - 1 / 3
-    assert abs(v.as_float() - expected) < 1e-12
+    assert v.kind == "rational"
+    assert v.rational == 1 / (1 + alpha) - Fraction(1, 3)
+
+
+def test_density_value_fields():
+    known = exact_density(Lattice(2, 3))
+    assert (known.kind, known.is_known, known.as_float()) == ("rational", True, 1 / 6)
+    assert known.to_dict() == {"kind": "rational", "trace": ["product-rule", "multiples-rule"],
+                               "value": repr(1 / 6), "numerator": 1, "denominator": 6}
+    unknown = exact_density(Intersection(Delimited(Constant(1), Power(1, 2)), Lattice(2, 2)))
+    assert (unknown.kind, unknown.is_known, unknown.rational) == ("unknown", False, None)
+    assert unknown.to_dict() == {"kind": "unknown", "trace": []}
+    with pytest.raises(ValueError):
+        unknown.as_float()

@@ -29,7 +29,7 @@ from gaussdens import (
     range_sum,
     zeta,
 )
-from gaussdens.corpus import by_tag
+from gaussdens.corpus import CORPUS, by_tag
 
 # ---------------------------------------------------------------------------
 # zeta
@@ -208,6 +208,17 @@ def test_density_at_eval_invariants():
             ev = density_at(entry.expr, s, 1e-6)
             assert ev.value >= 0.0
             assert math.isfinite(ev.tail_bound) and ev.tail_bound >= 0.0
+
+
+@pytest.mark.parametrize("entry", CORPUS, ids=lambda c: c.name)
+def test_loose_and_tight_evaluations_agree_within_their_bounds(entry):
+    # both bounds are true bounds, so the two values differ by at most their
+    # sum; no slack is added.  A band that cannot meet 1e-9 within the budget
+    # reports the bound it reached, which the check holds it to as well.
+    for s in (2.0, 1.5, 1.25):
+        loose = density_at(entry.expr, s, 1e-3, loosen=True)
+        tight = density_at(entry.expr, s, 1e-9, term_budget=10 ** 6, loosen=True)
+        assert abs(loose.value - tight.value) <= loose.tail_bound + tight.tail_bound, s
 
 
 def test_density_at_delimited_vs_brute_box():

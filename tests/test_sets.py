@@ -1,5 +1,6 @@
 """Set-expression semantics: membership, sections, normalisation."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -36,7 +37,7 @@ from gaussdens import (
     predicate,
     row_section,
 )
-from gaussdens.sets import grid_mask, int_contains, int_mask
+from gaussdens.sets import _dominates, grid_mask, int_contains, int_mask
 
 # ---------------------------------------------------------------------------
 # membership examples
@@ -133,12 +134,41 @@ def test_delimited_rejects_exponential_lower_power_upper():
 
 
 def test_delimited_power_exponential_dip_scan():
-    # the ratio a^m / m^alpha dips in a middle window; the scan must catch
+    # the ratio a^m / m^alpha dips in a middle window; the check must catch
     # 2^3 = 8 < 9 = 3^2 even though the exponential wins eventually
     with pytest.raises(ValidationError):
         Delimited(Power(1, 2), Exponential(1, 2))
     Delimited(Power(1, 2), Exponential(2, 2))   # 2*2^m >= m^2 everywhere
     Delimited(Power(1, 2), Exponential(1, 3))   # 3^m >= m^2 everywhere
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(Fraction(1, 4), 20, max_denominator=4), st.integers(11, 40),
+       st.fractions(Fraction(1, 4), 20, max_denominator=4), st.integers(0, 12),
+       st.integers(1, 4))
+def test_power_below_exponential_agrees_with_an_exact_scan(c_up, a10, c_lo, p, q):
+    # (upper/lower)^q at every row up to two past the ratio's minimum,
+    # m* = alpha / log a, in integers; within 1e-9 of 1 the float logs decide
+    upper, lower = Exponential(c_up, Fraction(a10, 10)), Power(c_lo, Fraction(p, q))
+    worst = min((upper.c * upper.a ** m) ** q / (lower.c ** q * m ** p)
+                for m in range(1, int(lower.alpha / math.log(upper.a)) + 3))
+    if worst >= 1:
+        assert _dominates(upper, lower)
+    elif worst < 1 - 1e-9:
+        assert not _dominates(upper, lower)
+
+
+def test_domination_with_parameters_past_the_float_range():
+    huge = 10 ** 400
+    # m^(10^400) passes 10^400 * 2^m from row 2 on
+    with pytest.raises(ValidationError, match="must dominate"):
+        Delimited(Power(1, huge), Exponential(huge, 2))
+    # a base within 10^-31 of 1 keeps below m^2 up to m ~ 10^33
+    with pytest.raises(ValidationError, match="must dominate"):
+        Delimited(Power(1, 2), Exponential(1, 1 + Fraction(1, 10 ** 31)))
+    # log a = 10^-400 = alpha: the ratio is smallest at row 1, where it is 2
+    Delimited(Power(1, Fraction(1, huge)), Exponential(2, 1 + Fraction(1, huge)))
+    Delimited(Constant(huge), Exponential(huge, 1 + Fraction(1, huge)))
 
 
 def test_constructor_validation():
