@@ -80,6 +80,26 @@ an ulp of every row's tail, so the sums are the same bits as with every term.
 Rows ascend and every bound is nondecreasing, so a block's extremes, and the
 edges where its rows cross the table, 2^62 or underflow, come from its end
 rows and a binary search instead of passes over the block.
+
+Every documented schedule evaluates the same grid s = 1 + 2^-(k+1), so the
+quantities that depend on s alone are taken once per s and kept: zeta(s),
+the inner tail tables (per s and inner affine map), the axis sums of product
+atoms (per axis and s) and the Euler-Maclaurin remainder tails (per cutoff
+and exponent list, which s and the power fix).  What depends on the atom
+alone is taken once per atom: a delimited atom's ``_DelimPlan`` holds its
+sides as floats, the one cut of a side constant in u, the rows where its
+growing sides reach 2^62 and its first direct cutoff.  Each is an
+``lru_cache`` that drops its least recently used entry past 4,096 entries
+(512 for the tail tables of 10,001 floats each, and for the constant sides),
+so a job with more (axis, s) pairs than that, such as a union of ten prime
+lattices, is recomputed whole on every run.  A cached result is immutable (a
+tuple or a read-only array) and is exactly what the function returns, so
+every value, tail bound and term count is the same bits with a cold or a
+warm cache and at any worker count (threads share the caches; two may
+compute one entry twice, to the same bits).  The gain is in batch
+evaluation on one schedule (``check``, ``sweep``, library loops, families of
+sets that share axes); a one-shot CLI call takes each axis sum and remainder
+tail about once anyway, and gains only from the per-atom plan.
 """
 
 from __future__ import annotations
@@ -174,8 +194,9 @@ def _em_tail(x, s):
     return r if r.shape else float(r)
 
 
-def _em_tails(x: float, ps) -> list[float]:
-    """[_em_tail(x, p) for p in ps], bit for bit, in one vectorised pass.
+@lru_cache(maxsize=4096)
+def _em_tails(x: float, ps: tuple[float, ...]) -> tuple[float, ...]:
+    """(_em_tail(x, p) for p in ps), bit for bit, in one vectorised pass.
 
     numpy's x ** e with a scalar e may replace pow by a shortcut (reciprocal,
     square, sqrt: at e = -1, 0, 1/2, 1, 2 in current releases), so an exponent
@@ -186,7 +207,7 @@ def _em_tails(x: float, ps) -> list[float]:
     for i, p in enumerate(ps):
         if any((2.0 * e).is_integer() for e in (1.0 - p, -p, -p - 1.0, -p - 3.0, -p - 5.0)):
             out[i] = _em_tail(x, p)
-    return out
+    return tuple(out)
 
 
 def _em_tail_err(x: float, s: float) -> float:
@@ -211,6 +232,7 @@ def _tail_table(s: float, an: int, bn: int) -> np.ndarray:
     tails[:-1] = np.cumsum(vals[::-1])[::-1]
     tails[-1] = 0.0
     tails += an ** (-s) * _em_tail(_TABLE + 1 + bn / an, s)
+    tails.flags.writeable = False   # shared by every caller
     return tails
 
 
@@ -250,6 +272,7 @@ def range_sum(a: int, b: int, s: float) -> float:
 # Atom evaluation
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=4096)
 def _dsum_1d(a, s: float) -> tuple[float, float, int]:
     """(value, error bound, terms) of sum over the 1-D atom of x^(-s)."""
     if isinstance(a, Fin):
@@ -265,17 +288,6 @@ def _dsum_1d(a, s: float) -> tuple[float, float, int]:
     tail = d ** (-s) * float(_em_tail(j_cut + c, s))
     err = d ** (-s) * _em_tail_err(j_cut + c, s) + 1e-15 * (head + tail)
     return head + tail, err, j_cut + 8
-
-
-def _axis_sums(atoms, s: float) -> dict:
-    """_dsum_1d of each distinct axis of the product atoms among atoms."""
-    sums: dict = {}
-    for a in atoms:
-        if isinstance(a, ProdAtom):
-            for x in (a.h, a.v):
-                if x not in sums:
-                    sums[x] = _dsum_1d(x, s)
-    return sums
 
 
 # Values a bound takes on every row of a block where it is saturated.
@@ -295,7 +307,7 @@ _RUN_MIN_ROWS = 64
 
 class _Side(NamedTuple):
     """A bound function in floats, taken once per atom: c*u^alpha for a Power
-    (alpha 0 for a Constant), c*exp(alpha*u) for an Exponential."""
+    (alpha 0 for a Constant), c*exp(alpha*u) = c*base^u for an Exponential."""
 
     kind: type
     c: float
@@ -303,18 +315,23 @@ class _Side(NamedTuple):
     alpha: float
     exact: bool     # an integer power: the exact product until it saturates
     inv: float      # 1/alpha of a power with 0 < alpha < 1 (its cut keeps runs), else 0
+    base: float     # the base of an Exponential (inf past the float range), else 0
 
 
 def _side_of(b: BoundFn) -> _Side:
     if isinstance(b, Exponential):
-        return _Side(Exponential, *_coef(b.c), _coef(b.a)[1], False, 0.0)
+        base, log_base = _coef(b.a)
+        return _Side(Exponential, *_coef(b.c), log_base, False, 0.0, base)
     if isinstance(b, Constant):
-        return _Side(Constant, *_coef(b.k), 0.0, False, 0.0)
+        return _Side(Constant, *_coef(b.k), 0.0, False, 0.0, 0.0)
     c, log_c = _coef(b.c)
     # runs need 1/alpha as a finite float: not so for alpha below ~1e-308
     inv = 1 / b.alpha if 0 < b.alpha < 1 and 0.0 < c < math.inf else 0
-    return _Side(Power, c, log_c, float(b.alpha), b.exact_int(1) is not None,
-                 float(inv) if inv < sys.float_info.max else 0.0)
+    # an alpha past 2^62 (past the float range, even) is taken as 2^62: with
+    # c >= 1 every row past the first saturates either way, and its inner
+    # tail x^(1-s)/(s-1) is below 2^-970 for every float s > 1
+    return _Side(Power, c, log_c, float(min(b.alpha, _HUGE)), b.exact_int(1) is not None,
+                 float(inv) if inv < sys.float_info.max else 0.0, 0.0)
 
 
 def _coef_pow(c: float, log_c: float, p: float) -> float:
@@ -642,13 +659,12 @@ def _direct_rows(atom: DelimAtom, s: float, M: int) -> tuple[list[float], float,
     jit = np.empty(prod.shape)
     row_sums: list[float] = []
     jitter = 0.0
+    plan = _delim_plan(atom)
     # a block ends where every side that saturates within the first block has
     # saturated: the rows before it mix table and EM cuts, unsaturated and
     # saturated values, and EM corrections that move bits with ones that
     # cannot, and the rows after it take one value per side and no correction
-    saturated = [_crossover_u(b, float(_HUGE)) for b in (atom.lower, atom.upper)]
-    settled = max((u for u in saturated if u < atom.u_min + _BLOCK_ROWS), default=0)
-    sides = (_side_of(atom.lower), _side_of(atom.upper))
+    settled = max((u for u in plan.saturated if u < atom.u_min + _BLOCK_ROWS), default=0)
     for lo in range(atom.u_min, M + 1, _CHUNK_ROWS):
         hi = min(lo + _CHUNK_ROWS - 1, M)
         any_jit = False
@@ -658,7 +674,7 @@ def _direct_rows(atom: DelimAtom, s: float, M: int) -> tuple[list[float], float,
             if b0 < settled <= b1:
                 b1 = settled - 1
             i, j = b0 - lo, b1 - lo + 1
-            w, inner, big = _row_block(atom, sides, s, np.arange(float(b0), float(b1) + 1.0))
+            w, inner, big = _row_block(atom, plan.sides, s, np.arange(float(b0), float(b1) + 1.0))
             np.multiply(w, inner, out=prod[i:j])
             if big is None:
                 jit[i:j] = 0.0
@@ -678,17 +694,14 @@ def _const_like(b: BoundFn) -> bool:
     return form is not None and form[1] == 0
 
 
-def _crossover_u(b: BoundFn, target: float) -> int:
-    """Smallest u with b(u) >= target (conservative), for growing bounds;
-    saturates at _HUGE, past any row budget."""
-    if isinstance(b, Constant):
-        return 1
-    c, log_c = _coef(b.c)
+def _crossover_u(b: _Side, target: float) -> int:
+    """Smallest u with b(u) >= target (conservative), for a growing side (a
+    power with alpha > 0, or an exponential); saturates at _HUGE, past any
+    row budget."""
+    c, log_c = b.c, b.log_c
     inside = 0.0 < c < math.inf     # else only log c is at hand
-    if isinstance(b, Power):
-        if b.alpha == 0:
-            return 1
-        al = float(b.alpha)
+    if b.kind is Power:
+        al = b.alpha
         log_ratio = math.log(target / c) if inside else math.log(target) - log_c
         if log_ratio >= _LOG_HUGE * al:
             return _HUGE
@@ -696,20 +709,20 @@ def _crossover_u(b: BoundFn, target: float) -> int:
             return 1
         root = (target / c) ** (1.0 / al) if inside else math.exp(log_ratio / al)
         return max(1, int(math.ceil(root)) + 1)
-    assert isinstance(b, Exponential)
     log_ratio = (math.log(max(target / c, 1.0)) if inside
                  else max(math.log(target) - log_c, 0.0))
-    log_base = _coef(b.a)[1]
+    log_base = b.alpha
     if log_ratio >= _HUGE * log_base:
         return _HUGE
     return max(1, int(math.ceil(log_ratio / log_base)) + 1)
 
 
-def _delim_rem_terms(side: BoundFn, sign: float, atom: DelimAtom, s: float,
-                     M: int) -> tuple[float, float]:
+def _delim_rem_terms(side: _Side, cut: Optional[int], sign: float, atom: DelimAtom,
+                     s: float, M: int) -> tuple[float, float]:
     """(value, error bound) of sign * sum_{u>M} W(u) * T(cut of side(u)).
 
-    W(u) = (am*u+bm)^(-s), T the inner tail with affine (an, bn).
+    W(u) = (am*u+bm)^(-s), T the inner tail with affine (an, bn); ``cut`` is
+    the one cut of a side constant in u (see _DelimPlan), else None.
     """
     am, bm, an, bn = atom.am, atom.bm, atom.an, atom.bn
     btil = bm / am
@@ -717,24 +730,20 @@ def _delim_rem_terms(side: BoundFn, sign: float, atom: DelimAtom, s: float,
     scale = am ** (-s) * an ** (-s)
     d = s - 1.0
 
-    if _const_like(side):
-        kc = side.ceil_at(1) - 1 if sign > 0 else side.floor_at(1)
-        if sign > 0:
-            kc = max(kc, atom.v_min - 1)
-        t_const = _tail_int(max(kc, 0), s, an, bn)
+    if cut is not None:
+        t_const = _tail_int(max(cut, 0), s, an, bn)
         outer = am ** (-s) * float(_em_tail(M + 1 + btil, s))
         err = am ** (-s) * _em_tail_err(M + 1 + btil, s) * t_const
         return sign * t_const * outer, err
 
-    if isinstance(side, Exponential):
-        c, log_c = _coef(side.c)
-        rho = _coef(side.a)[0] ** (-d)
+    c, log_c = side.c, side.log_c
+    if side.kind is Exponential:
+        rho = side.base ** (-d)
         lead = (1.5 / d + 1.0) * _coef_pow(c, log_c, 1.0 - s)
         geo = lead * (M + 1.0) ** (-s) * rho ** (M + 1) / max(1.0 - rho, 1e-300)
         return 0.0, scale * geo
 
-    c, log_c = _coef(side.c)
-    al = float(side.alpha)
+    al = side.alpha
     c_1s, c_s = _coef_pow(c, log_c, 1.0 - s), _coef_pow(c, log_c, -s)   # c^(1-s), c^-s
     # h(p) = sum_{u>M} u^(-p) at every exponent p the terms below use, in one pass
     ps = (s + al * d, s + 1.0 + al * d, s + al + al * d, s + al * s,
@@ -767,15 +776,42 @@ def _delim_rem_terms(side: BoundFn, sign: float, atom: DelimAtom, s: float,
     return sign * scale * val, scale * err
 
 
-def _delim_required_start(atom: DelimAtom) -> int:
+def _delim_required_start(atom: DelimAtom, growing: list[_Side]) -> int:
+    """The first direct cutoff M, past which the remainder forms hold for
+    the atom's growing sides."""
     btil = atom.bm / atom.am
     beta_til = atom.bn / atom.an
     target = max(2.0 * (beta_til + 0.5), float(atom.v_min) + 1.0, _EM_MIN)
     m = max(int(_EM_MIN), atom.u_min, int(math.ceil(2.0 * btil)) + 1, 2048)
-    for side in (atom.lower, atom.upper):
-        if not _const_like(side):
-            m = max(m, _crossover_u(side, target))
+    for side in growing:
+        m = max(m, _crossover_u(side, target))
     return m
+
+
+class _DelimPlan(NamedTuple):
+    """What a delimited atom's evaluation needs that does not depend on s."""
+
+    sides: tuple[_Side, _Side]      # (lower, upper) as _side_of gives them
+    # the inner cut k of a side constant in u, whose rows' inner tails are
+    # all T(k): ceil(lower) - 1 (at least v_min - 1), floor(upper); None for
+    # a growing side
+    cuts: tuple[Optional[int], Optional[int]]
+    saturated: tuple[int, ...]      # the row where each growing side reaches 2^62
+    start: int                      # _delim_required_start (0 for a constant band)
+
+
+@lru_cache(maxsize=4096)
+def _delim_plan(atom: DelimAtom) -> _DelimPlan:
+    """The atom's _DelimPlan, taken once per atom instead of once per point."""
+    lower, upper = atom.lower, atom.upper
+    sides = (_side_of(lower), _side_of(upper))
+    cuts = (max(lower.ceil_at(1), atom.v_min) - 1 if _const_like(lower) else None,
+            upper.floor_at(1) if _const_like(upper) else None)
+    growing = [b for b, k in zip(sides, cuts) if k is None]
+    if not growing:     # no direct rows, and v_min may be past the float range
+        return _DelimPlan(sides, cuts, (), 0)
+    return _DelimPlan(sides, cuts, tuple(_crossover_u(b, float(_HUGE)) for b in growing),
+                      _delim_required_start(atom, growing))
 
 
 def _eval_delim_atom(atom: DelimAtom, s: float, eps_abs: float, rows_budget: int,
@@ -783,18 +819,18 @@ def _eval_delim_atom(atom: DelimAtom, s: float, eps_abs: float, rows_budget: int
     """(value, error bound, rows used, met) of the atom's double sum, with
     rows_budget rows left of the point's term_budget."""
     am, bm, an, bn = atom.am, atom.bm, atom.an, atom.bn
+    plan = _delim_plan(atom)
+    (lower, upper), (k_lo, k_hi) = plan.sides, plan.cuts
 
-    if _const_like(atom.lower) and _const_like(atom.upper):
+    if k_lo is not None and k_hi is not None:
         # constant band: every row carries the same integer range
-        lo = max(atom.lower.ceil_at(1), atom.v_min)
-        hi = atom.upper.floor_at(1)
-        if lo > hi:
+        if k_lo >= k_hi:
             return 0.0, 0.0, 0, True
-        band = _tail_int(lo - 1, s, an, bn) - _tail_int(hi, s, an, bn)
+        band = _tail_int(k_lo, s, an, bn) - _tail_int(k_hi, s, an, bn)
         outer, outer_err, terms = _dsum_1d(Prog(am, am * atom.u_min + bm), s)
         return band * outer, band * outer_err + 1e-15 * band * outer, terms, True
 
-    M = _delim_required_start(atom)
+    M = plan.start
     if M > term_budget:
         # the remainder forms hold only past M, which the point's whole budget
         # cannot reach: charge the atom's whole mass, every row and column the
@@ -803,8 +839,8 @@ def _eval_delim_atom(atom: DelimAtom, s: float, eps_abs: float, rows_budget: int
         vi, ei, ti = _dsum_1d(Prog(an, an * atom.v_min + bn), s)
         return 0.0, (vo + eo) * (vi + ei) * (1.0 + 1e-15), to + ti, False
     while True:
-        v_lo, e_lo = _delim_rem_terms(atom.lower, +1.0, atom, s, M)
-        v_up, e_up = _delim_rem_terms(atom.upper, -1.0, atom, s, M)
+        v_lo, e_lo = _delim_rem_terms(lower, k_lo, +1.0, atom, s, M)
+        v_up, e_up = _delim_rem_terms(upper, k_hi, -1.0, atom, s, M)
         rem_val, rem_err = v_lo + v_up, e_lo + e_up
         if rem_err <= eps_abs * 0.5:
             met = True
@@ -842,11 +878,10 @@ def _eval_gen_atom(atom: GenAtom, s: float, eps_abs: float,
     return value, bound(n), n * n, met
 
 
-def _eval_atom(a, s: float, eps_abs: float, budget: int, axis_sums: dict,
-               term_budget: int):
+def _eval_atom(a, s: float, eps_abs: float, budget: int, term_budget: int):
     if isinstance(a, ProdAtom):
-        vh, eh, th = axis_sums[a.h]
-        vv, ev, tv = axis_sums[a.v]
+        vh, eh, th = _dsum_1d(a.h, s)
+        vv, ev, tv = _dsum_1d(a.v, s)
         return vh * vv, vh * ev + vv * eh + eh * ev, th + tv, True
     if isinstance(a, FinAtom):
         vals = [(float(m) * float(n)) ** -s for m, n in a.pairs]
@@ -926,11 +961,9 @@ def density_at(
     errs: list[float] = []
     terms = 0
     met_all = True
-    axis_sums = _axis_sums(atoms, s)   # product atoms share axes
     for atom, coef in atoms.items():
         budget_left = max(term_budget - terms, 0)
-        v, err, t, met = _eval_atom(atom, s, eps_abs, budget_left, axis_sums,
-                                    term_budget)
+        v, err, t, met = _eval_atom(atom, s, eps_abs, budget_left, term_budget)
         values.append(coef * v)
         errs.append(abs(coef) * err)
         terms += t

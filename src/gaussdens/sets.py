@@ -320,10 +320,23 @@ class Power(BoundFn):
         if self.alpha < 0:
             raise ValidationError(f"Power exponent must be >= 0, got {self.alpha}")
 
+    # alpha is taken as a float only on rows past the first, and only while
+    # it is at most 2^62: a larger alpha (one past the float range, say) puts
+    # every such row at 2^(2^62) times c or more, taken as inf, which snapped
+    # saturates as exact_int does an integer power
+
     def value(self, m: int) -> float:
+        if m == 1:
+            return float(self.c)
+        if self.alpha > _HUGE:
+            return math.inf
         return float(self.c) * float(m) ** float(self.alpha)
 
     def log_value(self, m: int) -> float:
+        if m == 1:
+            return _coef(self.c)[1]
+        if self.alpha > _HUGE:
+            return math.inf
         return _coef(self.c)[1] + float(self.alpha) * math.log(m)
 
     def exact_int(self, m: int) -> Optional[int]:

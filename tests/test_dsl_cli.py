@@ -328,16 +328,34 @@ def test_cli_constant_beyond_the_float_range_is_not_a_crash(capsys):
     assert "density   = 1 = 1.0" in capsys.readouterr().out
 
 
-def test_cli_exponent_beyond_the_float_range_is_an_engine_error(capsys):
-    # the series engine takes a power's exponent as a float
-    text = f"delim(pow(1,1/2),pow(1,{10 ** 400}))"
-    assert main(["estimate", text]) == 1
-    captured = capsys.readouterr()
-    assert "engine error" in captured.err and "Traceback" not in captured.err
+def _json_points(command, doc):
+    if command == "sweep":
+        return doc
+    return doc["points"] if command == "estimate" else doc["estimate"]["points"]
+
+
+def test_cli_exponent_beyond_the_float_range_saturates_past_row_one(capsys):
+    # every row past the first of pow(1, 10^400) is past 2^62, as it is for
+    # pow(1, 1000): the points of the two bands agree within both tail bounds
+    far, near = (f"delim(pow(1,1/2),pow(1,{a}))" for a in (10 ** 400, 1000))
+    extra = {"sweep": ["--points", "3"]}
+    for command in ("estimate", "compare", "sweep"):
+        argv = ["--schedule", "0..3", "--format", "json"] + extra.get(command, [])
+        got, want = (_json_points(command, json.loads(_run([command, text] + argv, capsys)))
+                     for text in (far, near))
+        assert len(got) == len(want) > 0
+        for p, q in zip(got, want):
+            assert p["s"] == q["s"]
+            gap = abs(float(p["value"]) - float(q["value"]))
+            assert gap <= float(p["tail_bound"]) + float(q["tail_bound"]), command
     # the oracle's row cuts are exact integers: row 1 is c, later rows saturate
-    assert main(["oracle", text]) == 0
-    captured = capsys.readouterr()
-    assert "oracle=" in captured.out and captured.err == ""
+    assert "oracle=" in _run(["oracle", far], capsys)
+
+
+def test_cli_oracle_on_a_fractional_exponent_beyond_the_float_range(capsys):
+    # row 1 of pow(1, (2*10^400+1)/2) is 1 and every later row saturates
+    alpha = Fraction(2 * 10 ** 400 + 1, 2)
+    assert "oracle=" in _run(["oracle", f"delim(const(1),pow(1,{alpha}))"], capsys)
 
 
 def _run_with_closed_stdout(*argv) -> tuple[int, bytes]:

@@ -1,20 +1,24 @@
 """Brute-force oracles and their agreement with the fast engine."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from gaussdens import (
+    Constant,
     Delimited,
     FullQuadrant,
     Lattice,
     Power,
     brute_partial_sum,
+    contains,
     counting_density,
     exact_density,
     partial_double_sum,
 )
 from gaussdens.corpus import by_tag
+from gaussdens.sets import grid_mask
 
 
 def test_brute_examples():
@@ -73,3 +77,15 @@ def test_counting_is_not_an_oracle_for_power_delimited():
     assert dens == pytest.approx(1.0 / 3.0)
     assert r1 > 0.9           # nowhere near 1/3
     assert r2 > r1            # and still climbing toward 1
+
+
+def test_fractional_exponent_beyond_the_float_range_on_a_box():
+    # row 1 of pow(1, (2*10^400+1)/2) is 1 and every later row saturates
+    e = Delimited(Constant(1), Power(1, Fraction(2 * 10 ** 400 + 1, 2)))
+    mask = grid_mask(e, 1, 20, 20)
+    assert mask[0].tolist() == [True] + [False] * 19 and mask[1:].all()
+    assert all(contains(e, (m, n)) == mask[m - 1, n - 1]
+               for m in range(1, 21) for n in range(1, 21))
+    want = math.fsum(float(m * n) ** -2.0 for m in range(1, 21) for n in range(1, 21)
+                     if mask[m - 1, n - 1])
+    assert brute_partial_sum(e, 2.0, 20) == pytest.approx(want, rel=1e-14, abs=0.0)

@@ -695,8 +695,8 @@ def test_em_tail_over_exponents_equals_one_exponent_at_a_time():
     ps = [1.0 + 2.0 ** -13, 1.0078125, 4.25] + halves + [
         math.nextafter(h, d) for h in halves for d in (0.0, math.inf)]
     for x in (64.0, 2052.0, 2063.0, 1e8 + 1.0):
-        want = [series._em_tail(x, p) for p in ps]
-        assert series._em_tails(x, ps) == want
+        want = tuple(series._em_tail(x, p) for p in ps)
+        assert series._em_tails(x, tuple(ps)) == want
 
 
 def test_coefficient_beyond_the_float_range():
@@ -751,6 +751,108 @@ def test_a_later_band_sums_its_start_when_earlier_atoms_spent_the_budget(monkeyp
     density_at(parse_expression(text), s, eps, term_budget=budget, loosen=True)
     (_, _, first), (second, (_, eps_abs, left, _), got) = seen
     assert first[2:] == (16_388, True)
-    assert left == budget - 16_388 < series._delim_required_start(second)
+    assert left == budget - 16_388 < series._delim_plan(second).start
     assert got == evaluate(second, s, eps_abs, budget, budget)
     assert got[2:] == (2048, True)
+
+
+# ---------------------------------------------------------------------------
+# quantities taken once per s and once per atom
+# ---------------------------------------------------------------------------
+
+import sys  # noqa: E402
+from collections import Counter  # noqa: E402
+from concurrent.futures import ThreadPoolExecutor  # noqa: E402
+
+from gaussdens.cli import main  # noqa: E402
+from gaussdens.estimator import EstimatorConfig, estimate_density, ordered_map, schedule  # noqa: E402
+from test_sets import _exprs  # noqa: E402
+
+# every memoised quantity of the series engine
+_CACHES = (series.zeta, series._tail_table, series._constant_side, series._dsum_1d,
+           series._em_tails, series._delim_plan)
+
+
+def _clear_caches():
+    for cache in _CACHES:
+        cache.cache_clear()
+
+
+def test_every_series_cache_is_bounded():
+    for cache in _CACHES:
+        assert isinstance(cache.cache_info().maxsize, int), cache   # None: unbounded
+        assert cache.cache_info().maxsize <= 4096, cache
+
+
+def _point_rows(e, workers):
+    atoms = compile_set(e)
+
+    def point(s):
+        return density_at(e, s, 1e-4, term_budget=10 ** 6, loosen=True, atoms=atoms).to_row()
+
+    return ordered_map(point, (2.0, 1.5, 1.25, 1.125), workers)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.sampled_from([entry.expr for entry in CORPUS]), _exprs))
+def test_cached_points_are_the_same_bits_cold_warm_and_shared(e):
+    _clear_caches()
+    cold = _point_rows(e, 1)
+    assert _point_rows(e, 1) == cold            # served from the caches
+    _clear_caches()
+    assert _point_rows(e, 2) == cold            # filled by two threads at once
+    assert _point_rows(e, 2) == cold
+
+
+def test_threads_filling_the_caches_get_the_same_bits():
+    # more threads than cores, switching as often as they can, from cold
+    texts = ("delim(pow(1,1/2),pow(1,2))", "translate(delim(pow(2,1/2),pow(3,2)),2,5)",
+             "delim(const(1),exp(1,2))", "compl(translate(lattice(3,4),1,2))",
+             "union(lattice(2,3),translate(lattice(3,2),1,1))")
+    cases = [(parse_expression(t), s) for t in texts for s in (2.0, 1.5, 1.25, 1.125)] * 4
+
+    def row(case):
+        return density_at(case[0], case[1], 1e-4, loosen=True).to_row()
+
+    _clear_caches()
+    want = [row(case) for case in cases]
+    _clear_caches()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(row, case) for case in cases]
+            got = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+    for cache in _CACHES:
+        assert cache.cache_info().currsize <= cache.cache_info().maxsize
+
+
+def test_check_is_the_same_bytes_with_cold_and_warm_caches(tmp_path):
+    # the second run takes zeta, the tail tables, the axis sums, the
+    # remainder tails and the atom plans from the first run's caches
+    cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
+    _clear_caches()
+    assert main(["check", "--format", "csv", "--out", str(cold)]) == 0
+    assert main(["check", "--format", "csv", "--out", str(warm)]) == 0
+    assert warm.read_bytes() == cold.read_bytes()
+
+
+def test_an_estimate_takes_each_atom_plan_once(monkeypatch):
+    calls = Counter()
+    for name in ("_side_of", "_crossover_u", "_delim_required_start"):
+        def counted(*args, _fn=getattr(series, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(series, name, counted)
+    _clear_caches()
+    band = parse_expression("delim(pow(1,1/2),pow(1,2))")
+    cfg = EstimatorConfig(s_schedule=schedule(0, 6), per_point_eps=1e-4)
+    assert len(estimate_density(band, cfg).points) == 7
+    # two sides, each with its saturation row and its crossover of the
+    # remainder forms' target, and one start
+    assert calls == {"_side_of": 2, "_crossover_u": 4, "_delim_required_start": 1}
+    estimate_density(band, cfg)
+    assert sum(calls.values()) == 7
