@@ -320,24 +320,27 @@ class Power(BoundFn):
         if self.alpha < 0:
             raise ValidationError(f"Power exponent must be >= 0, got {self.alpha}")
 
-    # alpha is taken as a float only on rows past the first, and only while
-    # it is at most 2^62: a larger alpha (one past the float range, say) puts
-    # every such row at 2^(2^62) times c or more, taken as inf, which snapped
-    # saturates as exact_int does an integer power
+    # alpha is taken as a float only on rows past the first: an alpha past
+    # the float range puts every such row past it too, taken as inf, which
+    # snapped saturates as exact_int does an integer power.  The overflow is
+    # caught rather than tested for, so the rows of every other alpha (each
+    # row of a generic box's delimited mask) cost what they did before.
 
     def value(self, m: int) -> float:
         if m == 1:
             return float(self.c)
-        if self.alpha > _HUGE:
+        try:
+            return float(self.c) * float(m) ** float(self.alpha)
+        except OverflowError:
             return math.inf
-        return float(self.c) * float(m) ** float(self.alpha)
 
     def log_value(self, m: int) -> float:
         if m == 1:
             return _coef(self.c)[1]
-        if self.alpha > _HUGE:
+        try:
+            return _coef(self.c)[1] + float(self.alpha) * math.log(m)
+        except OverflowError:
             return math.inf
-        return _coef(self.c)[1] + float(self.alpha) * math.log(m)
 
     def exact_int(self, m: int) -> Optional[int]:
         if _frac_is_int(self.c) and _frac_is_int(self.alpha):
