@@ -36,7 +36,7 @@ from . import corpus as corpus_mod
 from .dsl import ParseError, parse_expression, to_dsl
 from .estimator import EstimatorConfig, estimate_density, ordered_map, schedule
 from .exact import exact_density
-from .oracle import brute_partial_sum, counting_density
+from .oracle import _SUM_SCALE_CAP, brute_partial_sum, counting_density
 from .series import BudgetExceeded, density_at, partial_double_sum
 from .sets import ValidationError, grid_mask, normalize
 
@@ -58,7 +58,7 @@ def _parse_schedule(text: str) -> tuple[int, int]:
     return (k0, k1)
 
 
-def _int_at_least(minimum: int):
+def _int_at_least(minimum: int, maximum: Optional[int] = None):
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -66,6 +66,8 @@ def _int_at_least(minimum: int):
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
         return value
     return parse
 
@@ -115,7 +117,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--points", type=_int_at_least(2), default=25, help="sweep size")
     p_oracle = sub.add_parser("oracle", help="brute-force cross-checks")
     add_common(p_oracle)
-    p_oracle.add_argument("--N", type=_int_at_least(1), default=200, help="truncation box side")
+    p_oracle.add_argument("--N", type=_int_at_least(1, _SUM_SCALE_CAP), default=200,
+                          help=f"truncation box side (at most {_SUM_SCALE_CAP})")
     p_check = sub.add_parser("check", help="corpus invariant suite")
     add_common(p_check, with_expr=False)
     return parser

@@ -32,9 +32,6 @@ class CountReport:
     count: int
     ratio: float
 
-    def to_row(self) -> dict:
-        return {"N": self.N, "count": self.count, "ratio": repr(self.ratio)}
-
 
 def brute_partial_sum(e: GaussSetExpr, s: float, N: int) -> float:
     """Plain double loop over [1, N]^2: sum of (mn)^(-s) over members of e."""

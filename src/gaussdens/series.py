@@ -86,9 +86,11 @@ quantities that depend on s alone are taken once per s and kept: zeta(s),
 the inner tail tables (per s and inner affine map), the axis sums of product
 atoms (per axis and s) and the Euler-Maclaurin remainder tails (per cutoff
 and exponent list, which s and the power fix).  What depends on the atom
-alone is taken once per atom: a delimited atom's ``_DelimPlan`` holds its
-sides as floats, the one cut of a side constant in u, the rows where its
-growing sides reach 2^62 and its first direct cutoff.  Each is an
+alone is taken once per atom: a delimited atom's ``_DelimPlan`` holds the one
+cut of a side constant in u, the rows where its growing sides reach 2^62 and
+its first direct cutoff.  Its sides in floats are not the engine's own:
+``gaussdens.sets`` owns each bound's float view (``BoundFn.floats``, taken
+once per bound), and membership and the row kernel read the same one.  Each is an
 ``lru_cache`` that drops its least recently used entry past 4,096 entries
 (512 for the tail tables of 10,001 floats each, and for the constant sides),
 so a job with more (axis, s) pairs than that, such as a union of ten prime
@@ -105,7 +107,6 @@ tail about once anyway, and gains only from the per-atom plan.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
@@ -114,6 +115,7 @@ import numpy as np
 
 from .atoms import DelimAtom, Fin, FinAtom, GenAtom, ProdAtom, Prog, compile_set
 from .sets import (
+    BoundFloats,
     BoundFn,
     Constant,
     Exponential,
@@ -121,7 +123,6 @@ from .sets import (
     Power,
     _HUGE,
     _LOG_HUGE,
-    _coef,
     grid_mask,
     power_form,
 )
@@ -305,35 +306,6 @@ _NEGLIGIBLE = -60.0 * math.log(2.0)
 _RUN_MIN_ROWS = 64
 
 
-class _Side(NamedTuple):
-    """A bound function in floats, taken once per atom: c*u^alpha for a Power
-    (alpha 0 for a Constant), c*exp(alpha*u) = c*base^u for an Exponential."""
-
-    kind: type
-    c: float
-    log_c: float
-    alpha: float
-    exact: bool     # an integer power: the exact product until it saturates
-    inv: float      # 1/alpha of a power with 0 < alpha < 1 (its cut keeps runs), else 0
-    base: float     # the base of an Exponential (inf past the float range), else 0
-
-
-def _side_of(b: BoundFn) -> _Side:
-    if isinstance(b, Exponential):
-        base, log_base = _coef(b.a)
-        return _Side(Exponential, *_coef(b.c), log_base, False, 0.0, base)
-    if isinstance(b, Constant):
-        return _Side(Constant, *_coef(b.k), 0.0, False, 0.0, 0.0)
-    c, log_c = _coef(b.c)
-    # runs need 1/alpha as a finite float: not so for alpha below ~1e-308
-    inv = 1 / b.alpha if 0 < b.alpha < 1 and 0.0 < c < math.inf else 0
-    # an alpha past 2^62 (past the float range, even) is taken as 2^62: with
-    # c >= 1 every row past the first saturates either way, and its inner
-    # tail x^(1-s)/(s-1) is below 2^-970 for every float s > 1
-    return _Side(Power, c, log_c, float(min(b.alpha, _HUGE)), b.exact_int(1) is not None,
-                 float(inv) if inv < sys.float_info.max else 0.0, 0.0)
-
-
 def _coef_pow(c: float, log_c: float, p: float) -> float:
     """c ** p for a _coef pair, through log c where c is past the float range."""
     return c ** p if 0.0 < c < math.inf else math.exp(p * log_c)
@@ -370,7 +342,7 @@ def _capped_exp(logs: np.ndarray) -> np.ndarray:
     return np.exp(capped, out=capped)
 
 
-def _bound_floats(b: _Side, u: np.ndarray,
+def _bound_floats(b: BoundFloats, u: np.ndarray,
                   logu: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Bound values at ascending rows u (snapped, capped at 2^62) and their
     true logs, both ascending.
@@ -414,11 +386,8 @@ def _bound_floats(b: _Side, u: np.ndarray,
     return r, logs
 
 
-def _tail_em(x: np.ndarray, logx: np.ndarray, s: float, an: int,
-             bn: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Midpoint EM form of T at ascending cut points past the table, and
-    exp(-s*logx), the cut-jitter bound's exponential, where an == 1 and the
-    form was taken at logx on every row (else None).
+def _tail_em(x: np.ndarray, logx: np.ndarray, s: float, an: int, bn: int) -> np.ndarray:
+    """Midpoint EM form of T at ascending cut points past the table.
 
     mid_log ascends with the rows, so each term takes its extremes at the two
     end rows.  A correction is evaluated only where it can move a bit: its
@@ -438,11 +407,10 @@ def _tail_em(x: np.ndarray, logx: np.ndarray, s: float, an: int,
         near = x[:n] + 0.5
         near += bn / an
         np.log(near, out=mid_log[:n])
-    shared = mid_log is logx and an == 1
     lo, hi = mid_log[0], mid_log[-1]
     if (1.0 - s) * lo < _EXP_ZERO:
         # every exponential below underflows to 0.0
-        return np.zeros(1), (np.zeros(1) if shared else None)
+        return np.zeros(1)
     # log of 2^-60 of the smallest leading term, at the last row
     floor = (1.0 - s) * hi - math.log(s - 1.0) + _NEGLIGIBLE
 
@@ -455,10 +423,9 @@ def _tail_em(x: np.ndarray, logx: np.ndarray, s: float, an: int,
     t /= s - 1.0
     # a correction that cannot move a bit, or is 0.0 on every row, leaves t
     # as it is
-    half = moves(0.5, s)
-    e_s = _exp_into(-s, mid_log, np.empty(mid_log.shape)) if half or shared else None
-    if half and e_s is not None:
-        t += np.multiply(0.5, e_s, out=tmp)
+    if moves(0.5, s) and _exp_into(-s, mid_log, tmp) is not None:
+        tmp *= 0.5
+        t += tmp
     if moves(s / 12.0, s + 1.0) and _exp_into(-(s + 1.0), mid_log, tmp) is not None:
         tmp *= s / 12.0
         t += tmp
@@ -468,24 +435,18 @@ def _tail_em(x: np.ndarray, logx: np.ndarray, s: float, an: int,
         t -= tmp
     if an != 1:
         t *= an ** (-s)
-    if not shared:
-        return t, None
-    return t, (np.zeros(1) if e_s is None else e_s)
+    return t
 
 
-def _tail_at_cut(x: np.ndarray, logx: np.ndarray, ceil_side: bool, s: float,
-                 an: int, bn: int, key: Optional[np.ndarray] = None
-                 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """T(cut(x)) at ascending x, where cut = ceil(x)-1 on the lower side,
-    floor(x) above, with _tail_em's exp(-s*logx) (or None).  ``key`` is
-    ceil(x) or floor(x) if the caller has it already.
+def _tail_at_cut(x: np.ndarray, logx: np.ndarray, key: np.ndarray, ceil_side: bool,
+                 s: float, an: int, bn: int) -> np.ndarray:
+    """T(cut(x)) at ascending x, where cut = key-1 on the lower side (key =
+    ceil(x)), key above (key = floor(x)).
 
     Exact (tabulated) below _TABLE; smooth midpoint EM form above, whose
     per-row error is covered by the caller's jitter budget; log-space EM once
     the bound leaves the exactly representable range.
     """
-    if key is None:
-        key = np.ceil(x) if ceil_side else np.floor(x)
     edge = _TABLE + 1.0 if ceil_side else float(_TABLE)    # the first key past the table
     if key[0] >= edge:
         return _tail_em(x, logx, s, an, bn)
@@ -493,23 +454,18 @@ def _tail_at_cut(x: np.ndarray, logx: np.ndarray, ceil_side: bool, s: float,
     k = np.maximum(key[:n] - 1.0 if ceil_side else key[:n], 0.0)
     table = _tail_table(s, an, bn)[k.astype(np.int64)]
     if n == key.shape[0]:
-        return table, None
+        return table
     out = np.empty(key.shape)
     out[:n] = table
-    out[n:] = _tail_em(x[n:], logx[n:], s, an, bn)[0]
-    return out, None
+    out[n:] = _tail_em(x[n:], logx[n:], s, an, bn)
+    return out
 
 
-def _jitter(vals: np.ndarray, logs: np.ndarray, s: float, an: int,
-            e_s: Optional[np.ndarray]) -> Optional[np.ndarray]:
+def _jitter(vals: np.ndarray, logs: np.ndarray, s: float, an: int) -> Optional[np.ndarray]:
     """Cut-jitter bound 1.2*(an*b)^(-s) at ascending bounds b, on the rows
-    past the table (0 before them), or None when no row passes it.  A given
-    e_s (the tail's exp(-s*logs), given only where an == 1) is overwritten."""
+    past the table (0 before them), or None when no row passes it."""
     if vals[-1] < _TABLE:
         return None
-    if e_s is not None:
-        # log(1) + logs == logs: the tail's exp(-s*logs)
-        return np.multiply(1.2, e_s, out=e_s)
     n = int(np.searchsorted(vals, float(_TABLE)))
     out = np.zeros(logs.shape)
     z = logs[n:] if an == 1 else logs[n:] + math.log(an)
@@ -518,67 +474,72 @@ def _jitter(vals: np.ndarray, logs: np.ndarray, s: float, an: int,
     return out
 
 
-def _side_rows(b: _Side, u, logu, lower: bool, v_min: int, s: float, an: int,
+def _cuts(b: BoundFloats, u, logu, lower: bool,
+          v_min: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cut keys, values, logs) of one side on ascending rows u, the values
+    and logs as _bound_floats gives them.  The keys are ceil of the lower
+    value, which is cut at v_min, and floor of the upper value.  Every cut
+    key of the row kernel is taken here."""
+    vals, logs = _bound_floats(b, u, logu)
+    if not lower:
+        return np.floor(vals), vals, logs
+    # (the values ascend: the cut binds on a head of the rows, if any)
+    if vals[0] < v_min:
+        vals = np.maximum(vals, float(v_min))
+    if logs[0] < math.log(float(v_min)):
+        logs = np.maximum(logs, math.log(float(v_min)))
+    return np.ceil(vals), vals, logs
+
+
+def _side_rows(b: BoundFloats, u, logu, lower: bool, v_min: int, s: float, an: int,
                bn: int) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """(cut keys, T at the cut, cut-jitter or None) of one side on ascending
-    rows u.  The keys are ceil of the lower value, which is cut at v_min, and
-    floor of the upper value."""
-    vals, logs = _bound_floats(b, u, logu)
-    if lower:
-        # (the values ascend: the cut binds on a head of the rows, if any)
-        if vals[0] < v_min:
-            vals = np.maximum(vals, float(v_min))
-        if logs[0] < math.log(float(v_min)):
-            logs = np.maximum(logs, math.log(float(v_min)))
-    key = np.ceil(vals) if lower else np.floor(vals)
-    t, e_s = _tail_at_cut(vals, logs, lower, s, an, bn, key)
-    return key, t, _jitter(vals, logs, s, an, e_s)
+    rows u."""
+    key, vals, logs = _cuts(b, u, logu, lower, v_min)
+    return key, _tail_at_cut(vals, logs, key, lower, s, an, bn), _jitter(vals, logs, s, an)
 
 
-def _cut_keys(b: _Side, u: np.ndarray, lower: bool,
-              v_min: int) -> tuple[np.ndarray, np.ndarray]:
-    """The cut keys _side_rows gives a power side on rows u, and its values."""
-    vals, _ = _bound_floats(b, u, np.log(u))
-    if lower:
-        vals = np.maximum(vals, float(v_min))
-        return np.ceil(vals), vals
-    return np.floor(vals), vals
-
-
-def _first_row(b: _Side, u: np.ndarray, lower: bool, v_min: int, level: float) -> float:
+def _first_row(b: BoundFloats, u: np.ndarray, lower: bool, v_min: int, level: float) -> float:
     """The first row of u whose cut key reaches level, which the last row's
     does and the first row's does not (bisection)."""
     lo, hi = 0, u.shape[0] - 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _cut_keys(b, u[mid:mid + 1], lower, v_min)[0][0] >= level:
+        x = u[mid:mid + 1]
+        if _cuts(b, x, np.log(x), lower, v_min)[0][0] >= level:
             hi = mid
         else:
             lo = mid
     return u[hi]
 
 
-def _level_start(b: _Side, level, lower: bool):
+def _level_start(b: BoundFloats, level, lower: bool):
     """Where the cut key of a power side reaches level, by inverting c*u^alpha:
     ceil(c*u^alpha) >= q once c*u^alpha > q-1, floor(c*u^alpha) >= q once it
     is >= q."""
+    inv = 1.0 / b.alpha
     if lower:
-        return np.floor(((level - 1.0) / b.c) ** b.inv) + 1.0
-    return np.ceil((level / b.c) ** b.inv)
+        return np.floor(((level - 1.0) / b.c) ** inv) + 1.0
+    return np.ceil((level / b.c) ** inv)
 
 
-def _side_runs(b: _Side, u: np.ndarray, lower: bool, v_min: int, s: float,
+def _side_runs(b: BoundFloats, u: np.ndarray, lower: bool, v_min: int, s: float,
                an: int, bn: int):
-    """_side_rows of a power side with 0 < alpha < 1, taken once per run of
-    rows that share one cut, or None where its value reaches the table's end
-    or its runs are short.
+    """_side_rows of a power side with 0 < alpha < 1 (finite positive c and
+    finite 1/alpha, which the inverse needs), taken once per run of rows that
+    share one cut, or None for any other side, or where its value reaches the
+    table's end or its runs are short.
 
     The key grows with the row, so the ends of the block fix its levels.  The
     first row of each later level is found by inverting c*u^alpha and then
     pinned with the keys themselves: snapping moves a boundary off the exact
     one, so a guess the keys refute is replaced by bisection.
     """
-    keys, vals = _cut_keys(b, u[[0, -1]], lower, v_min)
+    if not (b.kind is Power and 0.0 < b.alpha < 1.0 and 0.0 < b.c < math.inf
+            and 1.0 / b.alpha < math.inf):
+        return None
+    ends = u[[0, -1]]
+    keys, vals, _ = _cuts(b, ends, np.log(ends), lower, v_min)
     if vals[-1] >= _TABLE:      # (also where one saturated value stands for both ends)
         return None
     k0, k1 = keys
@@ -591,7 +552,8 @@ def _side_runs(b: _Side, u: np.ndarray, lower: bool, v_min: int, s: float,
     levels = keys[1:]
     # (guesses kept inside the block, past its first row, for the probe)
     first = np.minimum(np.maximum(_level_start(b, levels, lower), u[0] + 1.0), u[-1])
-    probe, _ = _cut_keys(b, np.concatenate((first - 1.0, first)), lower, v_min)
+    rows = np.concatenate((first - 1.0, first))
+    probe = _cuts(b, rows, np.log(rows), lower, v_min)[0]
     n = levels.shape[0]
     for i in np.flatnonzero((probe[:n] >= levels) | (probe[n:] < levels)):
         first[i] = _first_row(b, u, lower, v_min, levels[i])
@@ -601,7 +563,7 @@ def _side_runs(b: _Side, u: np.ndarray, lower: bool, v_min: int, s: float,
 
 
 @lru_cache(maxsize=512)
-def _constant_side(b: _Side, lower: bool, v_min: int, s: float, an: int,
+def _constant_side(b: BoundFloats, lower: bool, v_min: int, s: float, an: int,
                    bn: int) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """_side_rows of a constant bound: one value for every row of every block
     (read-only, since every caller shares it)."""
@@ -612,10 +574,9 @@ def _constant_side(b: _Side, lower: bool, v_min: int, s: float, an: int,
     return side
 
 
-def _row_block(atom: DelimAtom, sides: tuple[_Side, _Side], s: float, u: np.ndarray):
+def _row_block(atom: DelimAtom, s: float, u: np.ndarray):
     """(w, inner, jitter) on ascending rows u: the outer weight (am*u+bm)^(-s),
-    the inner range sum and the cut-jitter bound (None if 0 on every row).
-    sides are the atom's (lower, upper) bounds as _side_of gives them."""
+    the inner range sum and the cut-jitter bound (None if 0 on every row)."""
     am, bm, an, bn = atom.am, atom.bm, atom.an, atom.bn
     if (am, bm) == (1, 0):
         w = np.power(u, -s)
@@ -625,11 +586,11 @@ def _row_block(atom: DelimAtom, sides: tuple[_Side, _Side], s: float, u: np.ndar
         np.power(w, -s, out=w)
     logu = None
     rows = []
-    for b, lower in zip(sides, (True, False)):
+    for b, lower in ((atom.lower.floats, True), (atom.upper.floats, False)):
         if b.kind is Constant:
             rows.append(_constant_side(b, lower, atom.v_min, s, an, bn))
             continue
-        side = _side_runs(b, u, lower, atom.v_min, s, an, bn) if b.inv else None
+        side = _side_runs(b, u, lower, atom.v_min, s, an, bn)
         if side is None:
             if logu is None and b.kind is Power:
                 logu = np.log(u)
@@ -674,7 +635,7 @@ def _direct_rows(atom: DelimAtom, s: float, M: int) -> tuple[list[float], float,
             if b0 < settled <= b1:
                 b1 = settled - 1
             i, j = b0 - lo, b1 - lo + 1
-            w, inner, big = _row_block(atom, plan.sides, s, np.arange(float(b0), float(b1) + 1.0))
+            w, inner, big = _row_block(atom, s, np.arange(float(b0), float(b1) + 1.0))
             np.multiply(w, inner, out=prod[i:j])
             if big is None:
                 jit[i:j] = 0.0
@@ -694,7 +655,7 @@ def _const_like(b: BoundFn) -> bool:
     return form is not None and form[1] == 0
 
 
-def _crossover_u(b: _Side, target: float) -> int:
+def _crossover_u(b: BoundFloats, target: float) -> int:
     """Smallest u with b(u) >= target (conservative), for a growing side (a
     power with alpha > 0, or an exponential); saturates at _HUGE, past any
     row budget."""
@@ -717,7 +678,7 @@ def _crossover_u(b: _Side, target: float) -> int:
     return max(1, int(math.ceil(log_ratio / log_base)) + 1)
 
 
-def _delim_rem_terms(side: _Side, cut: Optional[int], sign: float, atom: DelimAtom,
+def _delim_rem_terms(side: BoundFloats, cut: Optional[int], sign: float, atom: DelimAtom,
                      s: float, M: int) -> tuple[float, float]:
     """(value, error bound) of sign * sum_{u>M} W(u) * T(cut of side(u)).
 
@@ -776,7 +737,7 @@ def _delim_rem_terms(side: _Side, cut: Optional[int], sign: float, atom: DelimAt
     return sign * scale * val, scale * err
 
 
-def _delim_required_start(atom: DelimAtom, growing: list[_Side]) -> int:
+def _delim_required_start(atom: DelimAtom, growing: list[BoundFloats]) -> int:
     """The first direct cutoff M, past which the remainder forms hold for
     the atom's growing sides."""
     btil = atom.bm / atom.am
@@ -791,7 +752,6 @@ def _delim_required_start(atom: DelimAtom, growing: list[_Side]) -> int:
 class _DelimPlan(NamedTuple):
     """What a delimited atom's evaluation needs that does not depend on s."""
 
-    sides: tuple[_Side, _Side]      # (lower, upper) as _side_of gives them
     # the inner cut k of a side constant in u, whose rows' inner tails are
     # all T(k): ceil(lower) - 1 (at least v_min - 1), floor(upper); None for
     # a growing side
@@ -804,13 +764,12 @@ class _DelimPlan(NamedTuple):
 def _delim_plan(atom: DelimAtom) -> _DelimPlan:
     """The atom's _DelimPlan, taken once per atom instead of once per point."""
     lower, upper = atom.lower, atom.upper
-    sides = (_side_of(lower), _side_of(upper))
     cuts = (max(lower.ceil_at(1), atom.v_min) - 1 if _const_like(lower) else None,
             upper.floor_at(1) if _const_like(upper) else None)
-    growing = [b for b, k in zip(sides, cuts) if k is None]
+    growing = [b.floats for b, k in zip((lower, upper), cuts) if k is None]
     if not growing:     # no direct rows, and v_min may be past the float range
-        return _DelimPlan(sides, cuts, (), 0)
-    return _DelimPlan(sides, cuts, tuple(_crossover_u(b, float(_HUGE)) for b in growing),
+        return _DelimPlan(cuts, (), 0)
+    return _DelimPlan(cuts, tuple(_crossover_u(b, float(_HUGE)) for b in growing),
                       _delim_required_start(atom, growing))
 
 
@@ -820,7 +779,8 @@ def _eval_delim_atom(atom: DelimAtom, s: float, eps_abs: float, rows_budget: int
     rows_budget rows left of the point's term_budget."""
     am, bm, an, bn = atom.am, atom.bm, atom.an, atom.bn
     plan = _delim_plan(atom)
-    (lower, upper), (k_lo, k_hi) = plan.sides, plan.cuts
+    lower, upper = atom.lower.floats, atom.upper.floats
+    k_lo, k_hi = plan.cuts
 
     if k_lo is not None and k_hi is not None:
         # constant band: every row carries the same integer range

@@ -30,7 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from functools import cached_property
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -44,6 +45,7 @@ __all__ = [
     "IntIntersection",
     "IntComplement",
     "BoundFn",
+    "BoundFloats",
     "Constant",
     "Power",
     "Exponential",
@@ -224,8 +226,28 @@ def int_contains(e: IntSetExpr, m: int) -> bool:
 # Bound functions
 # ---------------------------------------------------------------------------
 
+class BoundFloats(NamedTuple):
+    """A bound function in floats: c*m^alpha for a Power (alpha 0 for a
+    Constant), c*exp(alpha*m) = c*base^m for an Exponential.
+
+    Past the float range c is inf or 0.0 and base is inf, while log_c and
+    alpha still hold the logarithms.  A power exponent past 2^62 (past the
+    float range, even) is taken as 2^62: every row past the first saturates
+    either way, as exact_int saturates an integer power.
+    """
+
+    kind: type
+    c: float
+    log_c: float
+    alpha: float    # the exponent of a power, log(base) of an exponential
+    exact: bool     # integer parameters: exact_int gives the exact value
+    base: float     # the base of an Exponential, else 0
+
+
 class BoundFn:
-    """Concrete delimiting function, always evaluated at integer m >= 1."""
+    """Concrete delimiting function, always evaluated at integer m >= 1.  Its
+    ``floats`` (a BoundFloats, taken once per bound) is what membership here
+    and the series engine's row kernel both read."""
 
     __slots__ = ()
 
@@ -244,27 +266,23 @@ class BoundFn:
 
     # -- integer cut points -------------------------------------------------
 
-    def snapped(self, m: int) -> float:
+    def _cut(self, m: int, rounding: Callable[[float], int]) -> int:
+        """rounding of the value at m, snapped to a near integer, or of the
+        exact value; a value past 2^62 saturates at _HUGE."""
         exact = self.exact_int(m)
         if exact is not None:
-            return float(min(exact, _HUGE))
+            return min(exact, _HUGE)
         if self.log_value(m) >= _LOG_HUGE:
-            return float(_HUGE)
-        return snap_to_int(self.value(m))
+            return _HUGE
+        return rounding(snap_to_int(self.value(m)))
 
     def ceil_at(self, m: int) -> int:
         """ceil of the (snapped) value: first admissible integer above."""
-        exact = self.exact_int(m)
-        if exact is not None:
-            return min(exact, _HUGE)
-        return int(math.ceil(self.snapped(m)))
+        return self._cut(m, math.ceil)
 
     def floor_at(self, m: int) -> int:
         """floor of the (snapped) value, saturating at a huge sentinel."""
-        exact = self.exact_int(m)
-        if exact is not None:
-            return min(exact, _HUGE)
-        return int(math.floor(self.snapped(m)))
+        return self._cut(m, math.floor)
 
 
 def _coef(q: Fraction) -> tuple[float, float]:
@@ -292,14 +310,18 @@ class Constant(BoundFn):
         if self.k < 1:
             raise ValidationError(f"Constant bound requires k >= 1, got {self.k}")
 
+    @cached_property
+    def floats(self) -> BoundFloats:
+        return BoundFloats(Constant, *_coef(self.k), 0.0, _frac_is_int(self.k), 0.0)
+
     def value(self, m: int) -> float:
-        return float(self.k)
+        return self.floats.c
 
     def log_value(self, m: int) -> float:
-        return _coef(self.k)[1]
+        return self.floats.log_c
 
     def exact_int(self, m: int) -> Optional[int]:
-        return int(self.k) if _frac_is_int(self.k) else None
+        return int(self.k) if self.floats.exact else None
 
     def with_coefficient(self, c: NumberLike) -> "Constant":
         return Constant(c)
@@ -320,30 +342,22 @@ class Power(BoundFn):
         if self.alpha < 0:
             raise ValidationError(f"Power exponent must be >= 0, got {self.alpha}")
 
-    # alpha is taken as a float only on rows past the first: an alpha past
-    # the float range puts every such row past it too, taken as inf, which
-    # snapped saturates as exact_int does an integer power.  The overflow is
-    # caught rather than tested for, so the rows of every other alpha (each
-    # row of a generic box's delimited mask) cost what they did before.
+    @cached_property
+    def floats(self) -> BoundFloats:
+        return BoundFloats(Power, *_coef(self.c), float(min(self.alpha, _HUGE)),
+                           _frac_is_int(self.c) and _frac_is_int(self.alpha), 0.0)
 
     def value(self, m: int) -> float:
-        if m == 1:
-            return float(self.c)
         try:
-            return float(self.c) * float(m) ** float(self.alpha)
+            return self.floats.c * float(m) ** self.floats.alpha
         except OverflowError:
             return math.inf
 
     def log_value(self, m: int) -> float:
-        if m == 1:
-            return _coef(self.c)[1]
-        try:
-            return _coef(self.c)[1] + float(self.alpha) * math.log(m)
-        except OverflowError:
-            return math.inf
+        return self.floats.log_c + self.floats.alpha * math.log(m)
 
     def exact_int(self, m: int) -> Optional[int]:
-        if _frac_is_int(self.c) and _frac_is_int(self.alpha):
+        if self.floats.exact:
             a = int(self.alpha)
             # an int compared with a float never overflows; row 1 is c for any a
             if m > 1 and a >= _LOG_HUGE / math.log(m):
@@ -370,17 +384,26 @@ class Exponential(BoundFn):
         if self.a <= 1:
             raise ValidationError(f"Exponential base must be > 1, got {self.a}")
 
+    @cached_property
+    def floats(self) -> BoundFloats:
+        base, log_base = _coef(self.a)
+        return BoundFloats(Exponential, *_coef(self.c), log_base,
+                           _frac_is_int(self.c) and _frac_is_int(self.a), base)
+
     def value(self, m: int) -> float:
         lv = self.log_value(m)
         if lv >= _LOG_HUGE:
             return float(_HUGE)
-        return float(self.c) * float(self.a) ** m
+        f = self.floats
+        if 0.0 < f.c < math.inf and f.base < math.inf:
+            return f.c * f.base ** m
+        return math.exp(lv)     # c or the base is past the float range
 
     def log_value(self, m: int) -> float:
-        return _coef(self.c)[1] + m * _coef(self.a)[1]
+        return self.floats.log_c + m * self.floats.alpha
 
     def exact_int(self, m: int) -> Optional[int]:
-        if _frac_is_int(self.c) and _frac_is_int(self.a):
+        if self.floats.exact:
             if self.log_value(m) >= _LOG_HUGE:
                 return _HUGE
             return int(self.c) * int(self.a) ** m

@@ -267,6 +267,7 @@ def test_cli_engine_error_exit(capsys):
     ["estimate", "P2", "--degree", "0"],
     ["check", "--workers", "0"],
     ["oracle", "P2", "--N", "0"],
+    ["oracle", "P2", "--N", "20000"],
     ["sweep", "P2", "--points", "1"],
     ["exact", "P2", "--budget", "many"],
     ["sweep", "P2", "--eps", "-1"],
@@ -356,6 +357,16 @@ def test_cli_oracle_on_a_fractional_exponent_beyond_the_float_range(capsys):
     # row 1 of pow(1, (2*10^400+1)/2) is 1 and every later row saturates
     alpha = Fraction(2 * 10 ** 400 + 1, 2)
     assert "oracle=" in _run(["oracle", f"delim(const(1),pow(1,{alpha}))"], capsys)
+
+
+def test_cli_oracle_on_an_exponential_beyond_the_float_range(capsys):
+    # c = 10^-400 and the base 10^401 are past the float range: row 1 holds
+    # n = 1..10 and every later row saturates
+    text = f"delim(const(1),exp(1/{10 ** 400},{10 ** 401}))"
+    doc = json.loads(_run(["oracle", text, "--N", "50", "--format", "json"], capsys))
+    sums = [row for row in doc if row["check"] == "partial_sum"]
+    assert len(sums) == 4
+    assert all(float(row["rel_diff"]) <= 1e-12 for row in sums)
 
 
 def _run_with_closed_stdout(*argv) -> tuple[int, bytes]:

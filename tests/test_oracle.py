@@ -8,6 +8,7 @@ import pytest
 from gaussdens import (
     Constant,
     Delimited,
+    Exponential,
     FullQuadrant,
     Lattice,
     Power,
@@ -84,6 +85,21 @@ def test_fractional_exponent_beyond_the_float_range_on_a_box():
     e = Delimited(Constant(1), Power(1, Fraction(2 * 10 ** 400 + 1, 2)))
     mask = grid_mask(e, 1, 20, 20)
     assert mask[0].tolist() == [True] + [False] * 19 and mask[1:].all()
+    assert all(contains(e, (m, n)) == mask[m - 1, n - 1]
+               for m in range(1, 21) for n in range(1, 21))
+    want = math.fsum(float(m * n) ** -2.0 for m in range(1, 21) for n in range(1, 21)
+                     if mask[m - 1, n - 1])
+    assert brute_partial_sum(e, 2.0, 20) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_exponential_beyond_the_float_range_on_a_box():
+    # c = 10^-400 is 0.0 as a float and the base 10^401 overflows one, so
+    # the values come from log c + m log a: row 1 is 10, every later row
+    # saturates
+    e = Delimited(Constant(1), Exponential(Fraction(1, 10 ** 400), 10 ** 401))
+    assert [n for n in range(1, 21) if contains(e, (1, n))] == list(range(1, 11))
+    mask = grid_mask(e, 1, 20, 20)
+    assert mask[0].tolist() == [True] * 10 + [False] * 10 and mask[1:].all()
     assert all(contains(e, (m, n)) == mask[m - 1, n - 1]
                for m in range(1, 21) for n in range(1, 21))
     want = math.fsum(float(m * n) ** -2.0 for m in range(1, 21) for n in range(1, 21)

@@ -524,12 +524,37 @@ def test_kernel_masks_match_the_reference_on_mixed_rows():
     logx = np.log(x)
     for s, an, bn in ((1.5, 1, 0), (1.0078125, 3, 2)):
         for lower in (True, False):
-            got, _ = series._tail_at_cut(x, logx, lower, s, an, bn)
+            key = np.ceil(x) if lower else np.floor(x)
+            got = series._tail_at_cut(x, logx, key, lower, s, an, bn)
             assert got.tolist() == _reference_tail_at_cut(x, logx, lower, s, an, bn).tolist()
         want = np.zeros(x.shape)
         sel = x >= float(series._TABLE)
         want[sel] = 1.2 * np.exp(-s * (math.log(an) + logx[sel]))
-        assert series._jitter(x, logx, s, an, None).tolist() == want.tolist()
+        assert series._jitter(x, logx, s, an).tolist() == want.tolist()
+
+
+_small = st.fractions(1, 8, max_denominator=6)
+_cut_bounds = st.one_of(
+    st.builds(Constant, st.fractions(1, 50, max_denominator=6)),
+    st.builds(Power, _small, st.fractions(0, 3, max_denominator=12)),
+    st.builds(Exponential, _small, st.fractions(Fraction(11, 10), 3, max_denominator=10)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cut_bounds)
+def test_membership_and_the_kernel_cut_every_tabulated_row_the_same_way(b):
+    # every row up to 10^5 whose value is within 1e-6 of an integer (at most
+    # about 300 of them), and every 97th row, where the value is below the table
+    u = np.arange(1.0, 100_001.0)
+    lo_keys, vals, _ = series._cuts(b.floats, u, np.log(u), True, 1)
+    hi_keys = series._cuts(b.floats, u, np.log(u), False, 1)[0]
+    vals, lo_keys, hi_keys = (np.broadcast_to(a, u.shape) for a in (vals, lo_keys, hi_keys))
+    tabulated = vals < series._TABLE
+    near = np.flatnonzero(tabulated & (np.abs(vals - np.round(vals)) <= 1e-6))
+    rows = np.union1d(near[::max(1, near.size // 300)], np.flatnonzero(tabulated)[::97])
+    for i in rows.tolist():
+        assert (b.ceil_at(i + 1), b.floor_at(i + 1)) == (lo_keys[i], hi_keys[i]), (b, i + 1)
 
 
 _EM_SIDES = [Power(100, Fraction(1, 4)), Power(1, Fraction(1, 3)), Power(2, Fraction(1, 2)),
@@ -554,7 +579,7 @@ def test_tail_em_is_bit_equal_to_the_four_term_form(side, term, e, s, an, bn, be
     # which the kernel skips a correction, or across it
     coef, p = ((0.5 * (s - 1.0), 1), (s / 12.0 * (s - 1.0), 2),
                (series._rising(s, 3) / 720.0 * (s - 1.0), 4))[term]
-    b = series._side_of(side)
+    b = side.floats
     first = _row_of(b, float(series._TABLE)) + 1.0      # the first cut past the table
     centre = min(max(_row_of(b, (coef * 2.0 ** e) ** (1.0 / p)), first), 2.0 ** 50)
     u0 = max(math.floor(centre) - before, math.ceil(first))
@@ -564,10 +589,8 @@ def test_tail_em_is_bit_equal_to_the_four_term_form(side, term, e, s, an, bn, be
         n = int(np.searchsorted(x, float(series._TABLE)))
         x, logx = x[n:], logx[n:]
     assume(logx.size > 0)
-    t, e_s = series._tail_em(x, logx, s, an, bn)
+    t = series._tail_em(x, logx, s, an, bn)
     assert np.array_equal(np.broadcast_to(t, logx.shape), _four_term_tail_em(x, logx, s, an, bn))
-    if e_s is not None:
-        assert np.array_equal(np.broadcast_to(e_s, logx.shape), np.exp(-s * logx))
 
 
 def _reference_row_block(atom, s, u):
@@ -589,8 +612,7 @@ def _reference_row_block(atom, s, u):
 
 
 def _block_matches_reference(atom, s, u):
-    sides = (series._side_of(atom.lower), series._side_of(atom.upper))
-    w, inner, jitter = series._row_block(atom, sides, s, u)
+    w, inner, jitter = series._row_block(atom, s, u)
     want = _reference_row_block(atom, s, u)
     got = (w, inner, np.zeros(u.shape) if jitter is None else jitter)
     return all(np.array_equal(np.broadcast_to(g, u.shape), x) for g, x in zip(got, want))
@@ -603,7 +625,8 @@ def test_row_block_where_snapping_moves_a_run_boundary(variant):
     # inverse's guess and the block must find it by bisection
     atom = _delim_atom(variant.format("delim(pow(1,1/4),pow(1,4))"))
     base = 630.0 ** 4
-    assert series._cut_keys(series._side_of(atom.lower), np.array([base + 1.0]), True, 1)[0][0] == 630.0
+    row = np.array([base + 1.0])
+    assert series._cuts(atom.lower.floats, row, np.log(row), True, 1)[0][0] == 630.0
     for lo, hi in ((-500, 500), (-3, 2), (1, 40), (-1000, 0)):
         u = np.arange(base + lo, base + hi + 1.0)
         for s in (1.5, 1.03125):
@@ -637,9 +660,9 @@ def test_the_first_block_ends_where_the_sides_saturate(monkeypatch):
     blocks = []
     row_block = series._row_block
 
-    def spy(a, sides, s, u):
+    def spy(a, s, u):
         blocks.append(u)
-        return row_block(a, sides, s, u)
+        return row_block(a, s, u)
 
     monkeypatch.setattr(series, "_row_block", spy)
     s, M = 1.0078125, 40_000
@@ -648,7 +671,7 @@ def test_the_first_block_ends_where_the_sides_saturate(monkeypatch):
     assert first[0] == 5 and first[-1] + 1 == second[0] < 70
     for u in blocks[1:]:
         for side in (atom.lower, atom.upper):
-            assert series._bound_floats(series._side_of(side), u, None)[0].shape == (1,)
+            assert series._bound_floats(side.floats, u, None)[0].shape == (1,)
 
 
 _KERNEL_POINTS = [
@@ -842,7 +865,7 @@ def test_check_is_the_same_bytes_with_cold_and_warm_caches(tmp_path):
 
 def test_an_estimate_takes_each_atom_plan_once(monkeypatch):
     calls = Counter()
-    for name in ("_side_of", "_crossover_u", "_delim_required_start"):
+    for name in ("_crossover_u", "_delim_required_start"):
         def counted(*args, _fn=getattr(series, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
@@ -853,6 +876,6 @@ def test_an_estimate_takes_each_atom_plan_once(monkeypatch):
     assert len(estimate_density(band, cfg).points) == 7
     # two sides, each with its saturation row and its crossover of the
     # remainder forms' target, and one start
-    assert calls == {"_side_of": 2, "_crossover_u": 4, "_delim_required_start": 1}
+    assert calls == {"_crossover_u": 4, "_delim_required_start": 1}
     estimate_density(band, cfg)
-    assert sum(calls.values()) == 7
+    assert sum(calls.values()) == 5
