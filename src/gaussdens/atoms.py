@@ -24,12 +24,18 @@ equal atoms.  When a pair of atoms has no intersection rule, the whole
 product becomes one ``GenAtom`` of the intersection.  When any node's merged
 map, or a product while it is being built, holds more than ``ATOM_CAP``
 atoms, the whole expression compiles to one ``GenAtom``.
+
+``compile_set`` keeps the last expression object it compiled and its map, as
+``sets.contains`` keeps its predicate: the exact reference of an estimate,
+the estimate's points and every point of a sweep read one compile.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 from typing import Optional
 
 from .sets import (
@@ -129,12 +135,24 @@ _FULL_1D = {Prog(1, 1): 1}
 _FULL = {ProdAtom(Prog(1, 1), Prog(1, 1)): 1}
 
 
-def compile_set(e: GaussSetExpr) -> dict[object, int]:
-    """The canonical signed multiset of atoms of e (see the module docstring)."""
-    try:
-        return _compile(e)
-    except _CapExceeded:
-        return {GenAtom(e): 1}
+_last_compiled: tuple = (None, None)
+
+
+def compile_set(e: GaussSetExpr) -> Mapping[object, int]:
+    """The canonical signed multiset of atoms of e (see the module docstring).
+
+    Called again with the same expression object, it returns the map it
+    built, read-only since every caller shares it.
+    """
+    global _last_compiled
+    last, atoms = _last_compiled
+    if last is not e:
+        try:
+            atoms = MappingProxyType(_compile(e))
+        except _CapExceeded:
+            atoms = MappingProxyType({GenAtom(e): 1})
+        _last_compiled = (e, atoms)
+    return atoms
 
 
 # ---------------------------------------------------------------------------

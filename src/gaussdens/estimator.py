@@ -24,7 +24,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .atoms import compile_set
 from .exact import DensityValue
 from .sets import BoundFn, Constant, Delimited, GaussSetExpr
 from .series import DEFAULT_TERM_BUDGET, SeriesEval, density_at, zeta
@@ -144,11 +143,9 @@ def estimate_density(
     flagged; such a report is never marked converged.
     """
 
-    atoms = compile_set(e)
-
     def point(s: float) -> SeriesEval:
         return density_at(e, s, cfg.per_point_eps, term_budget=cfg.term_budget,
-                          loosen=True, atoms=atoms)
+                          loosen=True)
 
     points = tuple(ordered_map(point, cfg.s_schedule, cfg.workers))
 

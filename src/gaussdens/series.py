@@ -90,23 +90,34 @@ alone is taken once per atom: a delimited atom's ``_DelimPlan`` holds the one
 cut of a side constant in u, the rows where its growing sides reach 2^62 and
 its first direct cutoff.  Its sides in floats are not the engine's own:
 ``gaussdens.sets`` owns each bound's float view (``BoundFn.floats``, taken
-once per bound), and membership and the row kernel read the same one.  Each is an
-``lru_cache`` that drops its least recently used entry past 4,096 entries
-(512 for the tail tables of 10,001 floats each, and for the constant sides),
-so a job with more (axis, s) pairs than that, such as a union of ten prime
-lattices, is recomputed whole on every run.  A cached result is immutable (a
-tuple or a read-only array) and is exactly what the function returns, so
-every value, tail bound and term count is the same bits with a cold or a
-warm cache and at any worker count (threads share the caches; two may
-compute one entry twice, to the same bits).  The gain is in batch
-evaluation on one schedule (``check``, ``sweep``, library loops, families of
-sets that share axes); a one-shot CLI call takes each axis sum and remainder
-tail about once anyway, and gains only from the per-atom plan.
+once per bound), and membership and the row kernel read the same one.  Each
+cache drops its least recently used entry past 4,096 entries (512 for the
+tail tables of 10,001 floats each, and for the constant sides), so a job with
+more (axis, s) pairs than that, such as a union of ten prime lattices, is
+recomputed whole on every run.  A cached result is immutable (a tuple or a
+read-only array) and is exactly what the function returns, so every value,
+tail bound and term count is the same bits with a cold or a warm cache and at
+any worker count (threads share the caches; two may compute one entry twice,
+to the same bits).
+
+Each point collects the distinct axes of its product atoms, looks each up in
+the (axis, s) cache and takes every miss in one batch (``_prog_sums``): one
+numpy power over every head term and one vectorised Euler-Maclaurin tail, and
+per axis the head's fsum, d^(-s) and the EM error in Python floats, so each
+(value, error, terms) triple is the same bits as summing its axis alone.  A
+point whose axes are all kept makes no numpy call; a delimited atom's axis
+sums go through the same cache as batches of one.  An axis whose first term
+or step is past the float range takes its EM tail in logs, and a term below
+the float range is 0.0.  The expression itself is compiled once per
+expression object (``compile_set`` keeps the last one), so an estimate, its
+exact reference and every point of a sweep read one compile.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
@@ -273,22 +284,158 @@ def range_sum(a: int, b: int, s: float) -> float:
 # Atom evaluation
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=4096)
-def _dsum_1d(a, s: float) -> tuple[float, float, int]:
-    """(value, error bound, terms) of sum over the 1-D atom of x^(-s)."""
-    if isinstance(a, Fin):
-        vals = [float(x) ** -s for x in a.values]
-        return math.fsum(vals), 1e-15 * math.fsum(map(abs, vals)), len(vals)
+# the smallest integer whose float overflows
+_FLOAT_LIMIT = 2 ** 1024 - 2 ** 970
+
+
+def _fin_sum(a: Fin, s: float) -> tuple[float, float, int]:
+    """(value, error bound, terms) of sum over the finite axis of x^(-s); a
+    value past the float range gives a term below it, 0.0."""
+    vals = [float(x) ** -s if x < _FLOAT_LIMIT else 0.0 for x in a.values]
+    return math.fsum(vals), 1e-15 * math.fsum(map(abs, vals)), len(vals)
+
+
+# the head indices j of a progression: it has at most 64 head terms, since
+# its cut is ceil(_EM_MIN - t/d) with t/d > 0
+_HEAD_J = np.arange(0.0, _EM_MIN)
+
+
+def _prog_sums(progs: list[Prog], s: float) -> list[tuple[float, float, int]]:
+    """(value, error bound, terms) of sum over each progression of x^(-s),
+    for steps and first terms within the float range: direct summation of
+    the head below the Euler-Maclaurin threshold, then the EM tail.
+
+    Every head term's power is one numpy call and every EM tail one more; each
+    head's math.fsum, d^(-s) and _em_tail_err's power are taken per axis in
+    Python floats.  Each element goes through the same operations as when its
+    axis is summed alone, so every triple is the same bits whatever the batch.
+    """
+    d = [a.step for a in progs]
+    t = [a.first for a in progs]
+    c = [ti / di for ti, di in zip(t, d)]
+    cuts = [max(0, int(math.ceil(_EM_MIN - ci))) for ci in c]
+    heads = [0.0] * len(progs)
+    if any(cuts):
+        # j = 0..cut-1 within each axis, and each axis' first and step per term
+        j = np.concatenate([_HEAD_J[:k] for k in cuts])
+        first, step = np.repeat(np.array([t, d], dtype=float), cuts, axis=1)
+        with np.errstate(over="ignore"):    # a term past the float range: inf^(-s) = 0.0
+            first += j * step
+        terms = (first ** -s).tolist()
+        e = 0
+        for i, k in enumerate(cuts):
+            if k:
+                heads[i] = float(math.fsum(terms[e:e + k]))
+                e += k
+    args = [k + ci for k, ci in zip(cuts, c)]
+    coef = _rising(s, 7) / 1209600.0    # _em_tail_err(x, s) = coef * x^(-s-7)
+    out = []
+    for di, k, x0, head, em in zip(d, cuts, args, heads, _em_tail(np.array(args), s).tolist()):
+        w = di ** (-s)
+        tail = w * em
+        out.append((head + tail, w * (coef * x0 ** (-s - 7.0)) + 1e-15 * (head + tail), k + 8))
+    return out
+
+
+def _far_prog_sum(a: Prog, s: float) -> tuple[float, float, int]:
+    """_prog_sums of one progression whose step or first term is past the
+    float range.  A term x^(-s) with x past the float range is below it: 0.0.
+
+    A step past the range leaves the first term alone.  Otherwise every head
+    term is past it, and the EM tail d^(-s) * T(j_cut + t/d) is taken in logs,
+    as ``sets`` takes a coefficient past the float range, with its rounding
+    charged to the error bound.
+    """
     d, t = a.step, a.first
-    c = t / d
-    j_cut = max(0, int(math.ceil(_EM_MIN - c)))
-    head = 0.0
-    if j_cut > 0:
-        j = np.arange(0.0, j_cut)
-        head = float(math.fsum(((t + j * d) ** -s).tolist()))
-    tail = d ** (-s) * float(_em_tail(j_cut + c, s))
-    err = d ** (-s) * _em_tail_err(j_cut + c, s) + 1e-15 * (head + tail)
-    return head + tail, err, j_cut + 8
+    if d >= _FLOAT_LIMIT:
+        v = float(t) ** -s if t < _FLOAT_LIMIT else 0.0
+        return v, 1e-15 * v, 1
+    j_cut = max(0, int(math.ceil(_EM_MIN - t / d))) if t < 64 * d else 0
+    log_d = math.log(d)
+    log_x = math.log(j_cut * d + t) - log_d        # log(j_cut + t/d)
+
+    def term(p: float) -> float:
+        """d^(-s) * x^(-p)"""
+        return math.exp(-s * log_d - p * log_x)
+
+    tail = (term(s - 1.0) / (s - 1.0) + 0.5 * term(s) + (s / 12.0) * term(s + 1.0)
+            - (_rising(s, 3) / 720.0) * term(s + 3.0)
+            + (_rising(s, 5) / 30240.0) * term(s + 5.0))
+    # each exp's argument is off by at most 2^-50 of the logs it is made of
+    rel = 1e-15 + 2.0 ** -50 * (s + 7.0) * (abs(log_x) + 2.0 * log_d)
+    err = _rising(s, 7) / 1209600.0 * term(s + 7.0) + rel * tail
+    return tail, err, j_cut + 8
+
+
+def _axis_key(a, s: float) -> tuple:
+    """The cache key of an axis at s: its fields, whose hash is native where
+    the dataclass's own __hash__ is a Python call."""
+    return (a.step, a.first, s) if type(a) is Prog else (a.values, s)
+
+
+class _CacheInfo(NamedTuple):
+    maxsize: int
+    currsize: int
+
+
+class _AxisSums:
+    """The axis sums of product atoms, kept per (axis, s): least recently
+    used first, at most ``maxsize`` entries.
+
+    Called with a point's axes, it looks each up and takes every miss in one
+    batch (``_prog_sums``), so a map whose axes are all kept makes no numpy
+    call.  Its lock guards the entries only: two threads may take one sum
+    twice, to the same bits.
+    """
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self._entries: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __call__(self, axes: list, s: float) -> list[tuple[float, float, int]]:
+        """(value, error bound, terms) of each axis, in order."""
+        out, misses = [], []
+        entries = self._entries
+        with self._lock:
+            for a in axes:
+                key = _axis_key(a, s)
+                r = entries.get(key)
+                if r is None:
+                    misses.append(len(out))
+                else:
+                    entries.move_to_end(key)
+                out.append(r)
+        if not misses:
+            return out
+        new = dict.fromkeys(axes[i] for i in misses)
+        near = [a for a in new if isinstance(a, Prog) and max(a.step, a.first) < _FLOAT_LIMIT]
+        new.update(zip(near, _prog_sums(near, s)))
+        for a, r in new.items():
+            if r is None:
+                new[a] = _fin_sum(a, s) if isinstance(a, Fin) else _far_prog_sum(a, s)
+        with self._lock:
+            entries.update((_axis_key(a, s), r) for a, r in new.items())
+            while len(entries) > self.maxsize:
+                entries.popitem(last=False)
+        for i in misses:
+            out[i] = new[axes[i]]
+        return out
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self.maxsize, len(self._entries))
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+
+_axis_sums = _AxisSums(4096)
+
+
+def _axis_sum(a, s: float) -> tuple[float, float, int]:
+    """_axis_sums of one axis."""
+    return _axis_sums([a], s)[0]
 
 
 # Values a bound takes on every row of a block where it is saturated.
@@ -787,7 +934,7 @@ def _eval_delim_atom(atom: DelimAtom, s: float, eps_abs: float, rows_budget: int
         if k_lo >= k_hi:
             return 0.0, 0.0, 0, True
         band = _tail_int(k_lo, s, an, bn) - _tail_int(k_hi, s, an, bn)
-        outer, outer_err, terms = _dsum_1d(Prog(am, am * atom.u_min + bm), s)
+        outer, outer_err, terms = _axis_sum(Prog(am, am * atom.u_min + bm), s)
         return band * outer, band * outer_err + 1e-15 * band * outer, terms, True
 
     M = plan.start
@@ -795,8 +942,8 @@ def _eval_delim_atom(atom: DelimAtom, s: float, eps_abs: float, rows_budget: int
         # the remainder forms hold only past M, which the point's whole budget
         # cannot reach: charge the atom's whole mass, every row and column the
         # cuts allow summed on each axis
-        vo, eo, to = _dsum_1d(Prog(am, am * atom.u_min + bm), s)
-        vi, ei, ti = _dsum_1d(Prog(an, an * atom.v_min + bn), s)
+        vo, eo, to = _axis_sum(Prog(am, am * atom.u_min + bm), s)
+        vi, ei, ti = _axis_sum(Prog(an, an * atom.v_min + bn), s)
         return 0.0, (vo + eo) * (vi + ei) * (1.0 + 1e-15), to + ti, False
     while True:
         v_lo, e_lo = _delim_rem_terms(lower, k_lo, +1.0, atom, s, M)
@@ -839,12 +986,11 @@ def _eval_gen_atom(atom: GenAtom, s: float, eps_abs: float,
 
 
 def _eval_atom(a, s: float, eps_abs: float, budget: int, term_budget: int):
-    if isinstance(a, ProdAtom):
-        vh, eh, th = _dsum_1d(a.h, s)
-        vv, ev, tv = _dsum_1d(a.v, s)
-        return vh * vv, vh * ev + vv * eh + eh * ev, th + tv, True
+    """(value, error bound, terms, met) of an atom other than a product."""
     if isinstance(a, FinAtom):
-        vals = [(float(m) * float(n)) ** -s for m, n in a.pairs]
+        # a point past the float range gives a term below it, 0.0
+        vals = [(float(m) * float(n)) ** -s if max(m, n) < _FLOAT_LIMIT else 0.0
+                for m, n in a.pairs]
         return math.fsum(vals), 1e-15 * len(vals), len(vals), True
     if isinstance(a, DelimAtom):
         return _eval_delim_atom(a, s, eps_abs, budget, term_budget)
@@ -896,14 +1042,10 @@ def density_at(
     *,
     term_budget: int = DEFAULT_TERM_BUDGET,
     loosen: bool = False,
-    atoms: Optional[dict] = None,
 ) -> SeriesEval:
     """ratio(s) with tail_bound <= eps, or BudgetExceeded if that needs more
     than term_budget terms (with loosen=True the best value within budget is
-    returned instead, its true tail bound reported honestly).
-
-    ``atoms``, if given, must be ``compile_set(e)``; a caller that
-    evaluates e at several s compiles it once."""
+    returned instead, its true tail bound reported honestly)."""
     if not s > 1.0:
         raise ValueError(f"density_at requires s > 1, got {s}")
     if not eps > 0.0:
@@ -911,10 +1053,11 @@ def density_at(
 
     z = zeta(s)
     z2 = z * z
-    if atoms is None:
-        atoms = compile_set(e)
+    atoms = compile_set(e)
     if not atoms:
         return SeriesEval(s, 0.0, 0.0, 0, "product-closed-form")
+    # the axis sums of the product atoms, two per atom in map order
+    sums = iter(_axis_sums([x for a in atoms if isinstance(a, ProdAtom) for x in (a.h, a.v)], s))
     # each distinct atom is evaluated once and weighs |coef| in the error
     eps_abs = eps * z2 / sum(abs(c) for c in atoms.values())
     values: list[float] = []
@@ -922,8 +1065,12 @@ def density_at(
     terms = 0
     met_all = True
     for atom, coef in atoms.items():
-        budget_left = max(term_budget - terms, 0)
-        v, err, t, met = _eval_atom(atom, s, eps_abs, budget_left, term_budget)
+        if isinstance(atom, ProdAtom):
+            (vh, eh, th), (vv, ev, tv) = next(sums), next(sums)
+            v, err, t, met = vh * vv, vh * ev + vv * eh + eh * ev, th + tv, True
+        else:
+            v, err, t, met = _eval_atom(atom, s, eps_abs, max(term_budget - terms, 0),
+                                        term_budget)
         values.append(coef * v)
         errs.append(abs(coef) * err)
         terms += t

@@ -369,6 +369,24 @@ def test_cli_oracle_on_an_exponential_beyond_the_float_range(capsys):
     assert all(float(row["rel_diff"]) <= 1e-12 for row in sums)
 
 
+_BIG = 10 ** 400
+
+
+@pytest.mark.parametrize("text", [f"upper({_BIG},1)", f"translate(P2,{_BIG},0)",
+                                  f"lattice({_BIG},3)", f"prod(mult({_BIG}),P)",
+                                  f"prod(set{{{_BIG}}},P)", f"finite{{({_BIG},1)}}"],
+                         ids=["upper", "translate", "lattice", "mult", "set", "finite"])
+def test_cli_sums_past_the_float_range(text, capsys):
+    # an axis whose first term or step is past the float range: the first
+    # two take their Euler-Maclaurin tail in logs, and a term below the float
+    # range is 0.0
+    extra = {"sweep": ["--points", "2"], "oracle": ["--N", "20"]}
+    for command in ("exact", "estimate", "compare", "sweep", "oracle"):
+        argv = [command, text, "--schedule", "0..3"]
+        assert main(argv + extra.get(command, [])) == 0, command
+        assert capsys.readouterr().err == "", command
+
+
 def _run_with_closed_stdout(*argv) -> tuple[int, bytes]:
     """Exit code and stderr of the CLI whose reader closes the pipe before
     the first write."""

@@ -8,7 +8,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gaussdens import (
     BudgetExceeded,
@@ -792,7 +792,7 @@ from gaussdens.estimator import EstimatorConfig, estimate_density, ordered_map, 
 from test_sets import _exprs  # noqa: E402
 
 # every memoised quantity of the series engine
-_CACHES = (series.zeta, series._tail_table, series._constant_side, series._dsum_1d,
+_CACHES = (series.zeta, series._tail_table, series._constant_side, series._axis_sums,
            series._em_tails, series._delim_plan)
 
 
@@ -808,10 +808,8 @@ def test_every_series_cache_is_bounded():
 
 
 def _point_rows(e, workers):
-    atoms = compile_set(e)
-
     def point(s):
-        return density_at(e, s, 1e-4, term_budget=10 ** 6, loosen=True, atoms=atoms).to_row()
+        return density_at(e, s, 1e-4, term_budget=10 ** 6, loosen=True).to_row()
 
     return ordered_map(point, (2.0, 1.5, 1.25, 1.125), workers)
 
@@ -879,3 +877,137 @@ def test_an_estimate_takes_each_atom_plan_once(monkeypatch):
     assert calls == {"_crossover_u": 4, "_delim_required_start": 1}
     estimate_density(band, cfg)
     assert sum(calls.values()) == 5
+
+
+# ---------------------------------------------------------------------------
+# the batched axis sums and the compile memo
+# ---------------------------------------------------------------------------
+
+from decimal import Decimal, localcontext  # noqa: E402
+
+from gaussdens import atoms as atoms_module  # noqa: E402
+from gaussdens.atoms import Prog  # noqa: E402
+
+
+def _dsum_1d_reference(a, s):
+    """The axis sum of a progression taken alone, as the engine took it
+    before it batched them: the reference of the batch."""
+    d, t = a.step, a.first
+    c = t / d
+    j_cut = max(0, int(math.ceil(series._EM_MIN - c)))
+    head = 0.0
+    if j_cut > 0:
+        j = np.arange(0.0, j_cut)
+        head = float(math.fsum(((t + j * d) ** -s).tolist()))
+    tail = d ** (-s) * float(series._em_tail(j_cut + c, s))
+    err = d ** (-s) * series._em_tail_err(j_cut + c, s) + 1e-15 * (head + tail)
+    return head + tail, err, j_cut + 8
+
+
+def _prime_union_axes():
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+    e = reduce(Union, [Lattice(p, primes[(i + 1) % 10]) for i, p in enumerate(primes)])
+    return sorted({x for a in compile_set(e) for x in (a.h, a.v)},
+                  key=lambda a: (a.step, a.first))
+
+
+_PRIME_AXES = _prime_union_axes()
+_axes = st.one_of(
+    st.integers(1, 10 ** 15).flatmap(
+        lambda d: st.builds(Prog, st.just(d), st.integers(1, 3 * d))),
+    st.sampled_from(_PRIME_AXES))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_axes, min_size=1, max_size=40, unique=True),
+       st.floats(1.0, 3.0, exclude_min=True))
+# axes whose error bound differs in its last bit when _em_tail_err is taken
+# as a numpy power over the batch instead of a Python float power
+@example([Prog(792, 1084), Prog(159, 283)], 1.0 + 1.0 / 3.0)
+@example([Prog(360707150634400, 972790287503805)], 1.0078125)
+def test_batched_axis_sums_are_the_per_axis_sums_bit_for_bit(axes, s):
+    want = [_dsum_1d_reference(a, s) for a in axes]
+    assert series._prog_sums(axes, s) == want
+    # through the cache: every axis a miss, then every axis a hit
+    series._axis_sums.cache_clear()
+    assert series._axis_sums(axes, s) == want
+    assert series._axis_sums(axes, s) == want
+
+
+def test_the_prime_union_axes_in_one_batch_are_the_per_axis_sums():
+    assert len(_PRIME_AXES) == 1023
+    for s in (1.0 + 2.0 ** -20, 1.0078125, 1.5, 2.0, 3.0):
+        got = series._prog_sums(_PRIME_AXES, s)
+        assert got == [_dsum_1d_reference(a, s) for a in _PRIME_AXES]
+
+
+def test_a_point_whose_axes_are_kept_takes_no_batch(monkeypatch):
+    e = parse_expression("union(lattice(2,3),translate(lattice(3,2),1,1))")
+    density_at(e, 1.5, 1e-6)
+    batches = []
+    monkeypatch.setattr(series, "_prog_sums", lambda *args: batches.append(args))
+    density_at(e, 1.5, 1e-6)
+    assert batches == []
+
+
+_COMPILED_ONCE = "union(lattice(2,3),translate(lattice(3,2),1,1))"
+
+
+@pytest.mark.parametrize("argv", [["compare", _COMPILED_ONCE],
+                                  ["estimate", _COMPILED_ONCE],
+                                  ["sweep", _COMPILED_ONCE, "--points", "25"]])
+def test_each_command_compiles_its_expression_once(argv, monkeypatch, capsys):
+    calls = []
+    compile_node = atoms_module._compile
+
+    def spy(e):
+        calls.append(e)
+        return compile_node(e)
+
+    monkeypatch.setattr(atoms_module, "_compile", spy)
+    assert main(argv) == 0
+    capsys.readouterr()
+    # (_compile recurses through the module name, so its children count too)
+    assert sum(e == parse_expression(_COMPILED_ONCE) for e in calls) == 1
+
+
+def test_a_compiled_map_is_shared_and_read_only():
+    e = parse_expression(_COMPILED_ONCE)
+    atoms = compile_set(e)
+    assert compile_set(e) is atoms
+    with pytest.raises(TypeError):
+        atoms[next(iter(atoms))] = 0
+    assert compile_set(parse_expression(_COMPILED_ONCE)) == atoms
+
+
+_BERNOULLI = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
+              Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510),
+              Fraction(43867, 798), Fraction(-174611, 330))
+
+
+def _hurwitz_decimal(a: int, s: Decimal) -> Decimal:
+    """sum_{m >= a} m^(-s) by Euler-Maclaurin through B_20, for a >= 100."""
+    x = Decimal(a)
+    total = x ** (1 - s) / (s - 1) + x ** -s / 2
+    rising, fact = s, Decimal(1)
+    for k, b in enumerate(_BERNOULLI, start=1):
+        # B_2k / (2k)! * s(s+1)...(s+2k-2) * x^(-s-2k+1)
+        fact *= (2 * k - 1) * (2 * k)
+        total += Decimal(b.numerator) / b.denominator / fact * rising * x ** (-s - 2 * k + 1)
+        rising *= (s + 2 * k - 1) * (s + 2 * k)
+    return total
+
+
+@pytest.mark.parametrize("s", [1.5, 1.0 + 2.0 ** -7])
+def test_an_axis_past_the_float_range_against_a_decimal_reference(s):
+    # upper(M, 1) has the ratio sum_{m >= M} m^(-s) / zeta(s), and its first
+    # axis, M + j, is past the float range
+    big = 10 ** 400
+    with localcontext() as ctx:
+        ctx.prec = 50
+        sd = Decimal(s)
+        zeta_s = sum(Decimal(n) ** -sd for n in range(1, 100)) + _hurwitz_decimal(100, sd)
+        ref = _hurwitz_decimal(big, sd) / zeta_s
+    ev = density_at(UpperQuadrant(big, 1), s, 1e-9)
+    assert ev.value > 0.0
+    assert abs(Decimal(ev.value) - ref) <= Decimal(ev.tail_bound)
