@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 
 from . import corpus as corpus_mod
 from .dsl import ParseError, parse_expression, to_dsl
-from .estimator import EstimatorConfig, estimate_density, ordered_map, schedule
+from .estimator import EstimatorConfig, estimate_density, ordered_map, schedule, schedule_ks
 from .exact import exact_density
 from .oracle import _SUM_SCALE_CAP, brute_partial_sum, counting_density
 from .series import BudgetExceeded, density_at, partial_double_sum
@@ -49,12 +49,13 @@ def _parse_schedule(text: str) -> tuple[int, int]:
     try:
         lo, hi = text.split("..")
         k0, k1 = int(lo.lstrip("k")), int(hi.lstrip("k"))
-    except Exception:
+    except ValueError:
         raise argparse.ArgumentTypeError(
-            f"schedule must look like 'k0..k6' or '0..6', got {text!r}"
-        )
-    if k1 < k0 or k0 < 0:
-        raise argparse.ArgumentTypeError(f"need 0 <= k0 <= k1 in {text!r}")
+            f"schedule must look like 'k0..k6' or '0..6', got {text!r}") from None
+    try:
+        schedule_ks(k0, k1)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return (k0, k1)
 
 
@@ -82,46 +83,38 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gaussdens",
-        description="Densities of Gaussian-integer sets in the open first quadrant.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_ESTIMATES = ("estimate", "compare")
+_SERIES = _ESTIMATES + ("sweep",)
+_ALL = _SERIES + ("exact", "oracle", "check")
 
-    def add_common(p, with_expr=True):
-        if with_expr:
-            p.add_argument("expression", help="set expression in the DSL")
-        p.add_argument("--schedule", type=_parse_schedule, default=(0, 6),
-                       metavar="k0..k6", help="s-schedule range: s = 1 + 0.5*2^-k")
-        p.add_argument("--eps", type=_positive_float, default=1e-6,
-                       help="per-point tail target (default 1e-6)")
-        p.add_argument("--budget", type=_int_at_least(1), default=10 ** 8,
-                       help="term budget per evaluation (default 1e8)")
-        p.add_argument("--degree", type=_int_at_least(1), default=2,
-                       help="polynomial degree of the extrapolation fit")
-        p.add_argument("--workers", type=_int_at_least(1), default=1,
-                       help="parallel evaluations (results are identical)")
-        p.add_argument("--strict", action="store_true",
-                       help="exit 3 when the estimate does not converge")
-        p.add_argument("--format", choices=("table", "csv", "json"), default="table")
-        p.add_argument("--out", default=None, help="write output to this path")
-        p.add_argument("--config", default=None, metavar="PATH",
-                       help="key=value file supplying defaults for these flags")
-
-    add_common(sub.add_parser("exact", help="closed-form density"))
-    add_common(sub.add_parser("estimate", help="extrapolated density"))
-    add_common(sub.add_parser("compare", help="exact vs estimate"))
-    p_sweep = sub.add_parser("sweep", help="dense s-sweep table")
-    add_common(p_sweep)
-    p_sweep.add_argument("--points", type=_int_at_least(2), default=25, help="sweep size")
-    p_oracle = sub.add_parser("oracle", help="brute-force cross-checks")
-    add_common(p_oracle)
-    p_oracle.add_argument("--N", type=_int_at_least(1, _SUM_SCALE_CAP), default=200,
-                          help=f"truncation box side (at most {_SUM_SCALE_CAP})")
-    p_check = sub.add_parser("check", help="corpus invariant suite")
-    add_common(p_check, with_expr=False)
-    return parser
+# Every flag once: its name, the subcommands that take it and its argparse
+# spec.  The parser and the --config key check both read this table.
+_FLAGS = (
+    ("--schedule", _SERIES,
+     dict(type=_parse_schedule, default=(0, 6), metavar="k0..k6",
+          help="s-schedule range: s = 1 + 0.5*2^-k")),
+    ("--eps", _SERIES,
+     dict(type=_positive_float, default=1e-6, help="per-point tail target (default 1e-6)")),
+    ("--budget", _SERIES,
+     dict(type=_int_at_least(1), default=10 ** 8, help="term budget per evaluation (default 1e8)")),
+    ("--degree", _ESTIMATES,
+     dict(type=_int_at_least(1), default=2, help="polynomial degree of the extrapolation fit")),
+    ("--workers", _ESTIMATES + ("check",),
+     dict(type=_int_at_least(1), default=1, help="parallel evaluations (results are identical)")),
+    ("--strict", _ESTIMATES,
+     dict(action="store_true", help="exit 3 when the estimate does not converge")),
+    ("--points", ("sweep",),
+     dict(type=_int_at_least(2), default=25, help="sweep size")),
+    ("--N", ("oracle",),
+     dict(type=_int_at_least(1, _SUM_SCALE_CAP), default=200,
+          help=f"truncation box side (at most {_SUM_SCALE_CAP})")),
+    ("--format", _ALL,
+     dict(choices=("table", "csv", "json"), default="table")),
+    ("--out", _ALL,
+     dict(default=None, help="write output to this path")),
+    ("--config", _ALL,
+     dict(default=None, metavar="PATH", help="key=value file supplying defaults for these flags")),
+)
 
 
 def _config(args) -> EstimatorConfig:
@@ -340,13 +333,36 @@ def _cmd_check(args) -> int:
     return 0 if failed == 0 else 1
 
 
-_COMMON_KEYS = ("schedule", "eps", "budget", "degree", "workers", "format", "out")
-_EXTRA_KEYS = {"sweep": ("points",), "oracle": ("N",)}
+_COMMANDS = {
+    "exact": (_cmd_exact, "closed-form density"),
+    "estimate": (_cmd_estimate, "extrapolated density"),
+    "compare": (_cmd_compare, "exact vs estimate"),
+    "sweep": (_cmd_sweep, "dense s-sweep table"),
+    "oracle": (_cmd_oracle, "brute-force cross-checks"),
+    "check": (_cmd_check, "corpus invariant suite"),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="gaussdens",
+        description="Densities of Gaussian-integer sets in the open first quadrant.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        if command != "check":
+            p.add_argument("expression", help="set expression in the DSL")
+        for flag, commands, spec in _FLAGS:
+            if command in commands:
+                p.add_argument(flag, **spec)
+    return parser
 
 
 def _load_config_tokens(path: str, command: str) -> list[str]:
-    """key=value lines -> flag tokens; explicit command-line flags win."""
-    allowed = set(_COMMON_KEYS) | set(_EXTRA_KEYS.get(command, ()))
+    """key=value lines -> flag tokens for the command's own flags."""
+    flags = {flag[2:]: spec for flag, commands, spec in _FLAGS
+             if command in commands and flag != "--config"}
     tokens: list[str] = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -356,61 +372,38 @@ def _load_config_tokens(path: str, command: str) -> list[str]:
             if "=" not in line:
                 raise ValidationError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key == "strict":
-                if value.lower() in ("1", "true", "yes", "on"):
-                    tokens.append("--strict")
-            elif key in allowed:
+            if key not in flags:
+                raise ValidationError(f"{path}:{lineno}: unknown option {key!r} for {command}")
+            if flags[key].get("action") != "store_true":
                 tokens.extend([f"--{key}", value])
-            else:
-                raise ValidationError(f"{path}:{lineno}: unknown option {key!r}")
+            elif value.lower() in ("1", "true", "yes", "on"):
+                tokens.append(f"--{key}")
     return tokens
 
 
 def _apply_config(argv: list[str]) -> list[str]:
-    path = None
-    rest: list[str] = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok == "--config":
-            if i + 1 >= len(argv):
-                raise ValidationError("--config requires a path")
-            path = argv[i + 1]
-            i += 2
-            continue
-        if tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-            i += 1
-            continue
-        rest.append(tok)
-        i += 1
-    if path is None:
+    """argv with --config PATH (anywhere, or --config=PATH) replaced by the
+    file's flags, right after the subcommand so explicit flags beat them."""
+    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
+    pre.add_argument("--config")
+    known, rest = pre.parse_known_args(argv)
+    if known.config is None:
         return argv
     if not rest:
         raise ValidationError("--config requires a subcommand")
-    # inject right after the subcommand so later (user) flags take precedence
-    return rest[:1] + _load_config_tokens(path, rest[0]) + rest[1:]
+    return rest[:1] + _load_config_tokens(known.config, rest[0]) + rest[1:]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     raw = list(argv) if argv is not None else sys.argv[1:]
     try:
         raw = _apply_config(raw)
-    except (ValidationError, OSError) as exc:
+    except (argparse.ArgumentError, ValidationError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    args = parser.parse_args(raw)
-    handlers = {
-        "exact": _cmd_exact,
-        "estimate": _cmd_estimate,
-        "compare": _cmd_compare,
-        "sweep": _cmd_sweep,
-        "oracle": _cmd_oracle,
-        "check": _cmd_check,
-    }
+    args = _build_parser().parse_args(raw)
     try:
-        code = handlers[args.command](args)
+        code = _COMMANDS[args.command][0](args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -424,7 +417,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ParseError, ValidationError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (BudgetExceeded, ValueError, OverflowError) as exc:
+    except Exception as exc:    # every other failure is the engine's: one line, no traceback
         sys.stderr.write(f"engine error: {exc}\n")
         return 1
 

@@ -50,9 +50,14 @@ def ordered_map(fn: Callable, items: Sequence, workers: int) -> list:
 
 def schedule(k0: int = 0, k1: int = 6) -> tuple[float, ...]:
     """The s-schedule 1 + 0.5 * 2^(-k) for k = k0..k1 (decreasing in s)."""
+    return tuple(1.0 + 0.5 * 2.0 ** (-k) for k in schedule_ks(k0, k1))
+
+
+def schedule_ks(k0: int, k1: int) -> range:
+    """k = k0..k1, or ValueError unless 0 <= k0 <= k1."""
     if k1 < k0 or k0 < 0:
         raise ValueError(f"need 0 <= k0 <= k1, got {k0}..{k1}")
-    return tuple(1.0 + 0.5 * 2.0 ** (-k) for k in range(k0, k1 + 1))
+    return range(k0, k1 + 1)
 
 
 # a converged report needs fit_residual <= RESIDUAL_FACTOR * per_point_eps

@@ -106,9 +106,11 @@ numpy power over every head term and one vectorised Euler-Maclaurin tail, and
 per axis the head's fsum, d^(-s) and the EM error in Python floats, so each
 (value, error, terms) triple is the same bits as summing its axis alone.  A
 point whose axes are all kept makes no numpy call; a delimited atom's axis
-sums go through the same cache as batches of one.  An axis whose first term
-or step is past the float range takes its EM tail in logs, and a term below
-the float range is 0.0.  The expression itself is compiled once per
+sums go through the same cache as batches of one.  An axis with a head term
+past half the float range (``_far``) takes its far terms and its EM tail in
+logs, and a term below the float range is 0.0; a delimited atom whose row
+plan, inner tables or direct rows would leave the float range is charged its
+whole mass.  The expression itself is compiled once per
 expression object (``compile_set`` keeps the last one), so an estimate, its
 exact reference and every point of a sweep read one compile.
 """
@@ -288,11 +290,19 @@ def range_sum(a: int, b: int, s: float) -> float:
 _FLOAT_LIMIT = 2 ** 1024 - 2 ** 970
 
 
+def _far_pow(x: int, s: float) -> float:
+    """x^(-s) of an integer past the float range, as exp(-s log x).  It is
+    nonzero only where s log x < 746, so its relative error is below 2^-42
+    (past the subnormal rounding that density_at's floor covers)."""
+    return math.exp(-s * math.log(x))
+
+
 def _fin_sum(a: Fin, s: float) -> tuple[float, float, int]:
-    """(value, error bound, terms) of sum over the finite axis of x^(-s); a
-    value past the float range gives a term below it, 0.0."""
-    vals = [float(x) ** -s if x < _FLOAT_LIMIT else 0.0 for x in a.values]
-    return math.fsum(vals), 1e-15 * math.fsum(map(abs, vals)), len(vals)
+    """(value, error bound, terms) of sum over the finite axis of x^(-s)."""
+    near = [float(x) ** -s for x in a.values if x < _FLOAT_LIMIT]
+    far = [_far_pow(x, s) for x in a.values if x >= _FLOAT_LIMIT]
+    value = math.fsum(near + far)
+    return value, 1e-15 * math.fsum(near) + 2.0 ** -42 * math.fsum(far), len(a.values)
 
 
 # the head indices j of a progression: it has at most 64 head terms, since
@@ -302,7 +312,7 @@ _HEAD_J = np.arange(0.0, _EM_MIN)
 
 def _prog_sums(progs: list[Prog], s: float) -> list[tuple[float, float, int]]:
     """(value, error bound, terms) of sum over each progression of x^(-s),
-    for steps and first terms within the float range: direct summation of
+    for progressions that are not _far: direct summation of
     the head below the Euler-Maclaurin threshold, then the EM tail.
 
     Every head term's power is one numpy call and every EM tail one more; each
@@ -337,19 +347,21 @@ def _prog_sums(progs: list[Prog], s: float) -> list[tuple[float, float, int]]:
     return out
 
 
-def _far_prog_sum(a: Prog, s: float) -> tuple[float, float, int]:
-    """_prog_sums of one progression whose step or first term is past the
-    float range.  A term x^(-s) with x past the float range is below it: 0.0.
+def _far(a: Prog, terms: int = int(_EM_MIN)) -> bool:
+    """Whether one of the first ``terms`` terms of the progression, or twice
+    one, is past the float range, so float arithmetic on them would overflow
+    (by default the head of _prog_sums)."""
+    return 2 * (a.first + terms * a.step) >= _FLOAT_LIMIT
 
-    A step past the range leaves the first term alone.  Otherwise every head
-    term is past it, and the EM tail d^(-s) * T(j_cut + t/d) is taken in logs,
-    as ``sets`` takes a coefficient past the float range, with its rounding
-    charged to the error bound.
+
+def _far_prog_sum(a: Prog, s: float) -> tuple[float, float, int]:
+    """_prog_sums of one _far progression.  Head terms within the float range
+    are float powers; the others (_far_pow) and the EM tail
+    d^(-s) * T(j_cut + t/d) are taken in logs, as ``sets`` takes a
+    coefficient past the float range, with their rounding charged to the
+    error bound.
     """
     d, t = a.step, a.first
-    if d >= _FLOAT_LIMIT:
-        v = float(t) ** -s if t < _FLOAT_LIMIT else 0.0
-        return v, 1e-15 * v, 1
     j_cut = max(0, int(math.ceil(_EM_MIN - t / d))) if t < 64 * d else 0
     log_d = math.log(d)
     log_x = math.log(j_cut * d + t) - log_d        # log(j_cut + t/d)
@@ -358,13 +370,17 @@ def _far_prog_sum(a: Prog, s: float) -> tuple[float, float, int]:
         """d^(-s) * x^(-p)"""
         return math.exp(-s * log_d - p * log_x)
 
+    xs = [t + j * d for j in range(j_cut)]
+    near = math.fsum(float(x) ** -s for x in xs if x < _FLOAT_LIMIT)
+    far = math.fsum(_far_pow(x, s) for x in xs if x >= _FLOAT_LIMIT)
     tail = (term(s - 1.0) / (s - 1.0) + 0.5 * term(s) + (s / 12.0) * term(s + 1.0)
             - (_rising(s, 3) / 720.0) * term(s + 3.0)
             + (_rising(s, 5) / 30240.0) * term(s + 5.0))
     # each exp's argument is off by at most 2^-50 of the logs it is made of
+    # (at least 2^-42 here, since a _far axis has log d or log t/d above 700)
     rel = 1e-15 + 2.0 ** -50 * (s + 7.0) * (abs(log_x) + 2.0 * log_d)
-    err = _rising(s, 7) / 1209600.0 * term(s + 7.0) + rel * tail
-    return tail, err, j_cut + 8
+    err = _rising(s, 7) / 1209600.0 * term(s + 7.0) + 1e-15 * near + rel * (far + tail)
+    return near + far + tail, err, j_cut + 8
 
 
 def _axis_key(a, s: float) -> tuple:
@@ -409,7 +425,7 @@ class _AxisSums:
         if not misses:
             return out
         new = dict.fromkeys(axes[i] for i in misses)
-        near = [a for a in new if isinstance(a, Prog) and max(a.step, a.first) < _FLOAT_LIMIT]
+        near = [a for a in new if isinstance(a, Prog) and not _far(a)]
         new.update(zip(near, _prog_sums(near, s)))
         for a, r in new.items():
             if r is None:
@@ -925,6 +941,22 @@ def _eval_delim_atom(atom: DelimAtom, s: float, eps_abs: float, rows_budget: int
     """(value, error bound, rows used, met) of the atom's double sum, with
     rows_budget rows left of the point's term_budget."""
     am, bm, an, bn = atom.am, atom.bm, atom.an, atom.bn
+    outer, inner = Prog(am, am * atom.u_min + bm), Prog(an, an * atom.v_min + bn)
+
+    def whole_mass() -> tuple[float, float, int, bool]:
+        """(0, bound, terms, met) charging every row and column the cuts
+        allow, summed on each axis: met where that is within the target"""
+        (vo, eo, to), (vi, ei, ti) = _axis_sums([outer, inner], s)
+        err = (vo + eo) * (vi + ei) * (1.0 + 1e-15)
+        return 0.0, err, to + ti, err <= eps_abs
+
+    # the row plan, the inner tail tables (v <= _TABLE) and the direct rows'
+    # weights are floats: an atom that takes them past the float range is
+    # charged its whole mass (a constant band's rows are one outer axis sum,
+    # which takes a far axis in logs)
+    if _far(inner, _TABLE) or (_far(outer) and not (_const_like(atom.lower)
+                                                     and _const_like(atom.upper))):
+        return whole_mass()
     plan = _delim_plan(atom)
     lower, upper = atom.lower.floats, atom.upper.floats
     k_lo, k_hi = plan.cuts
@@ -934,17 +966,14 @@ def _eval_delim_atom(atom: DelimAtom, s: float, eps_abs: float, rows_budget: int
         if k_lo >= k_hi:
             return 0.0, 0.0, 0, True
         band = _tail_int(k_lo, s, an, bn) - _tail_int(k_hi, s, an, bn)
-        outer, outer_err, terms = _axis_sum(Prog(am, am * atom.u_min + bm), s)
-        return band * outer, band * outer_err + 1e-15 * band * outer, terms, True
+        vo, eo, terms = _axis_sum(outer, s)
+        return band * vo, band * eo + 1e-15 * band * vo, terms, True
 
     M = plan.start
     if M > term_budget:
         # the remainder forms hold only past M, which the point's whole budget
-        # cannot reach: charge the atom's whole mass, every row and column the
-        # cuts allow summed on each axis
-        vo, eo, to = _axis_sum(Prog(am, am * atom.u_min + bm), s)
-        vi, ei, ti = _axis_sum(Prog(an, an * atom.v_min + bn), s)
-        return 0.0, (vo + eo) * (vi + ei) * (1.0 + 1e-15), to + ti, False
+        # cannot reach
+        return whole_mass()
     while True:
         v_lo, e_lo = _delim_rem_terms(lower, k_lo, +1.0, atom, s, M)
         v_up, e_up = _delim_rem_terms(upper, k_hi, -1.0, atom, s, M)
@@ -956,6 +985,8 @@ def _eval_delim_atom(atom: DelimAtom, s: float, eps_abs: float, rows_budget: int
             met = False
             break
         M = min(M * 2, max(rows_budget, M + 1))
+    if _far(outer, M):
+        return whole_mass()
 
     row_sums, jitter_direct, total_rows = _direct_rows(atom, s, M)
     value = math.fsum(row_sums) + rem_val
@@ -1035,6 +1066,18 @@ def _method_label(atoms) -> str:
     return "product-closed-form"
 
 
+# An absolute floor under every tail bound.  The relative charges above cover
+# rounding down to 2^-1022; below it a float operation errs by up to 2^-1075
+# absolute (a term under 2^-1075 rounds to 0.0), which no relative charge
+# covers.  2^-1054 covers 2^21 such roundings, more than a point makes: at
+# most ATOM_CAP atoms of two axes of at most 64 head terms and a few dozen
+# other operations each, and a delimited atom whose rows are subnormal lies so
+# far out that its remainder meets the target at its first cutoff (an atom
+# whose rows would pass the float range takes none).  The floor is below half
+# an ulp of 2^-1000, so every bound at or above 2^-1000 keeps its bits.
+_TAIL_FLOOR = 2.0 ** -1054
+
+
 def density_at(
     e: GaussSetExpr,
     s: float,
@@ -1081,5 +1124,5 @@ def density_at(
             f"within term budget {term_budget}; s is too close to 1 for this eps"
         )
     value = max(math.fsum(values) / z2, 0.0)
-    tail = math.fsum(errs) / z2 + 1e-14 * value
+    tail = math.fsum(errs) / z2 + 1e-14 * value + _TAIL_FLOOR
     return SeriesEval(s, value, tail, terms, _method_label(atoms))

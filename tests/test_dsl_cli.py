@@ -1,5 +1,6 @@
 """DSL parsing, printing, and the command-line front end."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -41,6 +42,7 @@ from gaussdens import (
     parse_expression,
     to_dsl,
 )
+from gaussdens import cli
 from gaussdens.cli import main
 from gaussdens.corpus import CORPUS
 from gaussdens.dsl import MAX_NESTING, ParseError
@@ -263,13 +265,13 @@ def test_cli_engine_error_exit(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["exact", "P2", "--budget", "0"],
+    ["estimate", "P2", "--budget", "0"],
     ["estimate", "P2", "--degree", "0"],
     ["check", "--workers", "0"],
     ["oracle", "P2", "--N", "0"],
     ["oracle", "P2", "--N", "20000"],
     ["sweep", "P2", "--points", "1"],
-    ["exact", "P2", "--budget", "many"],
+    ["sweep", "P2", "--budget", "many"],
     ["sweep", "P2", "--eps", "-1"],
     ["estimate", "P2", "--eps", "0"],
     ["estimate", "P2", "--eps", "nan"],
@@ -293,13 +295,19 @@ def test_cli_tiny_exponent_band_is_unmet_not_a_crash(capsys):
         assert "converged=False" in captured.out or "budget-limited" in captured.out
 
 
+# each subcommand but check, with the small flags it takes
+_FLAGS_SMALL = {"exact": [],
+                "estimate": ["--schedule", "0..3", "--budget", "200000"],
+                "compare": ["--schedule", "0..3", "--budget", "200000"],
+                "sweep": ["--schedule", "0..3", "--budget", "200000", "--points", "2"],
+                "oracle": ["--N", "20"]}
+
+
 def test_cli_exponent_below_the_float_range(capsys):
     # alpha = 10^-400 is 0.0 as a float, and 1/alpha overflows one
     text = f"delim(pow(1000,1/{10 ** 400}),pow(1000,2))"
-    extra = {"sweep": ["--points", "2"], "oracle": ["--N", "20"]}
-    for command in ("exact", "estimate", "compare", "sweep", "oracle"):
-        argv = [command, text, "--schedule", "0..3", "--budget", "200000"]
-        assert main(argv + extra.get(command, [])) == 0, command
+    for command, extra in _FLAGS_SMALL.items():
+        assert main([command, text] + extra) == 0, command
         assert capsys.readouterr().err == "", command
 
 
@@ -380,11 +388,30 @@ def test_cli_sums_past_the_float_range(text, capsys):
     # an axis whose first term or step is past the float range: the first
     # two take their Euler-Maclaurin tail in logs, and a term below the float
     # range is 0.0
-    extra = {"sweep": ["--points", "2"], "oracle": ["--N", "20"]}
+    extra = {"estimate": ["--schedule", "0..3"], "compare": ["--schedule", "0..3"],
+             "sweep": ["--schedule", "0..3", "--points", "2"], "oracle": ["--N", "20"]}
     for command in ("exact", "estimate", "compare", "sweep", "oracle"):
-        argv = [command, text, "--schedule", "0..3"]
-        assert main(argv + extra.get(command, [])) == 0, command
+        assert main([command, text] + extra.get(command, [])) == 0, command
         assert capsys.readouterr().err == "", command
+
+
+@pytest.mark.parametrize("text", [
+    f"translate(delim(const(1),pow(1,2)),{_BIG},0)",
+    f"translate(delim(const(1),pow(1,2)),0,{_BIG})",
+    f"dilate({_BIG},1,delim(const(1),pow(1,2)))",
+    f"translate(delim(const(1),pow(1,2)),{10 ** 308},0)",
+    f"translate(delim(const(1),const(5)),0,{_BIG})",
+], ids=["translate-u", "translate-v", "dilate", "translate-u-1e308", "constant-band-v"])
+def test_cli_delimited_atoms_past_the_float_range(text, capsys):
+    # a delimited atom on an axis past the float range is charged its whole
+    # mass: each point reads 0.0 with a finite bound
+    for command in ("estimate", "compare", "sweep"):
+        argv = [command, text, "--format", "json"] + _FLAGS_SMALL[command]
+        points = _json_points(command, json.loads(_run(argv, capsys)))
+        assert points, command
+        for p in points:
+            assert float(p["value"]) == 0.0, command
+            assert 0.0 < float(p["tail_bound"]) < math.inf, command
 
 
 def _run_with_closed_stdout(*argv) -> tuple[int, bytes]:
@@ -537,8 +564,11 @@ def test_cli_check_json_and_table(tmp_path, capsys):
     assert out.read_text().startswith("check,subject,status,detail\n")
 
 
-_FUZZ_FLAGS = {"exact": [], "estimate": [], "compare": [],
-               "sweep": ["--points", "2"], "oracle": ["--N", "20"]}
+_FUZZ_FLAGS = {"exact": [],
+               "estimate": ["--budget", "20000", "--schedule", "0..3"],
+               "compare": ["--budget", "20000", "--schedule", "0..3"],
+               "sweep": ["--budget", "20000", "--schedule", "0..3", "--points", "2"],
+               "oracle": ["--N", "20"]}
 
 
 @settings(max_examples=60, deadline=None)
@@ -546,7 +576,7 @@ _FUZZ_FLAGS = {"exact": [], "estimate": [], "compare": [],
 def test_cli_fuzz_every_subcommand_exits_with_a_contract_code(e, fmt):
     text = to_dsl(e)
     for command, extra in _FUZZ_FLAGS.items():
-        argv = [command, text, "--budget", "20000", "--schedule", "0..3", "--format", fmt] + extra
+        argv = [command, text, "--format", fmt] + extra
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)
@@ -600,6 +630,90 @@ def test_cli_config_file(tmp_path, capsys):
     bad.write_text("frobnicate = 1\n")
     assert main(["sweep", "lattice(2,2)", "--config", str(bad)]) == 2
     assert "frobnicate" in capsys.readouterr().err
+
+
+def test_cli_config_keeps_its_place_and_forms(tmp_path, capsys):
+    cfg = tmp_path / "run.conf"
+    cfg.write_text("schedule = 0..3\npoints = 3\nformat = json\n")
+    want = _run(["sweep", "lattice(2,2)", "--config", str(cfg)], capsys)
+    assert len(json.loads(want)) == 3
+    for argv in (["--config", str(cfg), "sweep", "lattice(2,2)"],
+                 ["sweep", f"--config={cfg}", "lattice(2,2)"]):
+        assert _run(argv, capsys) == want, argv
+    # one error line and exit 2: a missing path, a missing subcommand, no path
+    for argv in (["sweep", "P2", "--config", str(tmp_path / "missing.conf")],
+                 ["--config", str(cfg)],
+                 ["sweep", "P2", "--config"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: "), argv
+        assert captured.err.count("\n") == 1, argv
+
+
+@pytest.mark.parametrize("command,key", [("exact", "eps"), ("exact", "strict"),
+                                         ("oracle", "schedule"), ("check", "budget"),
+                                         ("sweep", "degree"), ("estimate", "N")])
+def test_cli_config_key_the_subcommand_does_not_take_is_an_error(command, key, tmp_path, capsys):
+    cfg = tmp_path / "run.conf"
+    cfg.write_text(f"{key} = 1\n")
+    argv = [command] + ([] if command == "check" else ["P2"]) + ["--config", str(cfg)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {cfg}:1: unknown option {key!r} for {command}\n"
+
+
+# the options each subcommand takes, and nothing else
+_OPTIONS = {
+    "exact": {"--format", "--out", "--config"},
+    "estimate": {"--schedule", "--eps", "--budget", "--degree", "--workers", "--strict",
+                 "--format", "--out", "--config"},
+    "compare": {"--schedule", "--eps", "--budget", "--degree", "--workers", "--strict",
+                "--format", "--out", "--config"},
+    "sweep": {"--schedule", "--eps", "--budget", "--points", "--format", "--out", "--config"},
+    "oracle": {"--N", "--format", "--out", "--config"},
+    "check": {"--workers", "--format", "--out", "--config"},
+}
+_VALUES = {"--schedule": "0..1", "--eps": "1e-3", "--budget": "5", "--degree": "1",
+           "--workers": "2", "--points": "3", "--N": "20"}
+# estimate's nine options that another subcommand does not take
+_REMOVED = [(command, flag) for command, flags in _OPTIONS.items()
+            for flag in sorted(_OPTIONS["estimate"] - flags)]
+
+
+def test_cli_each_subcommand_takes_only_its_own_options():
+    parser = cli._build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got, slots = {}, 0
+    for command, p in sub.choices.items():
+        options = {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+        got[command] = options
+        slots += len(options) + sum(not a.option_strings for a in p._actions)
+    assert got == _OPTIONS
+    assert slots == 41      # the options and the expression positionals
+    assert len(_REMOVED) == 20
+
+
+@pytest.mark.parametrize("command,flag", _REMOVED)
+def test_cli_an_option_the_subcommand_does_not_take_is_a_usage_error(command, flag, capsys):
+    argv = [command] + ([] if command == "check" else ["P2"]) + [flag]
+    argv += [_VALUES[flag]] if flag in _VALUES else []
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag}" in captured.err and "Traceback" not in captured.err
+
+
+def test_cli_an_unexpected_failure_is_one_engine_error_line(monkeypatch, capsys):
+    def fail(expr):
+        return 1 / 0
+
+    monkeypatch.setattr(cli, "exact_density", fail)
+    assert main(["exact", "P2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "engine error: division by zero\n"
+    assert "Traceback" not in captured.err
 
 
 def test_cli_check_deterministic(tmp_path):

@@ -1011,3 +1011,40 @@ def test_an_axis_past_the_float_range_against_a_decimal_reference(s):
     ev = density_at(UpperQuadrant(big, 1), s, 1e-9)
     assert ev.value > 0.0
     assert abs(Decimal(ev.value) - ref) <= Decimal(ev.tail_bound)
+
+
+@pytest.mark.parametrize("m,n", [(10 ** 308, 3), (2 ** 1020, 1), (2 ** 1030, 1),
+                                 (7, 2 ** 1024 + 1)],
+                         ids=["10^308x3", "2^1020", "2^1030", "7x(2^1024+1)"])
+@pytest.mark.parametrize("s", [3.0, 1.5, 1.0 + 2.0 ** -7, 1.0 + 2.0 ** -20])
+def test_a_subnormal_ratio_has_a_true_bound(m, n, s):
+    # lattice(m, n) has the ratio (mn)^(-s), subnormal or below the float
+    # range; an axis' head runs past the float range, where its terms are
+    # taken in logs
+    with localcontext() as ctx:
+        ctx.prec = 50
+        ref = Decimal(m * n) ** -Decimal(s)
+    ev = density_at(parse_expression(f"lattice({m},{n})"), s, 1e-9)
+    assert ev.tail_bound > 0.0
+    assert abs(Decimal(ev.value) - ref) <= Decimal(ev.tail_bound)
+
+
+def test_the_tail_floor_leaves_bounds_from_2_to_the_minus_1000_alone():
+    for x in (2.0 ** -1000, math.nextafter(2.0 ** -1000, 1.0), 1e-300, 1e-6):
+        assert x + series._TAIL_FLOOR == x
+
+
+@pytest.mark.parametrize("form", ["dilate({d},1,{band})", "dilate(1,{d},{band})"])
+@pytest.mark.parametrize("exp10", [300, 305, 307])
+def test_a_band_dilated_toward_the_float_range_has_a_true_bound(form, exp10):
+    # dilating one axis by d scales the ratio by d^(-s); at d = 10^305 the
+    # direct rows' weights or the inner tail table would pass the float range
+    band = "delim(const(1),pow(1,2))"
+    s = 1.0 + 2.0 ** -7
+    base = density_at(parse_expression(band), s, 1e-9, loosen=True)
+    ev = density_at(parse_expression(form.format(d=10 ** exp10, band=band)), s, 1e-9, loosen=True)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        scale = Decimal(10) ** (-exp10 * Decimal(s))
+        gap = abs(Decimal(ev.value) - scale * Decimal(base.value))
+        assert gap <= Decimal(ev.tail_bound) + scale * Decimal(base.tail_bound)
