@@ -21,7 +21,6 @@ from .estimator import (
 from .exact import DensityValue, axis_section_finite, exact_density, exact_density_1d
 from .oracle import CountReport, brute_partial_sum, counting_density
 from .series import (
-    BudgetExceeded,
     SeriesEval,
     density_at,
     partial_double_sum,

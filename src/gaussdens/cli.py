@@ -37,7 +37,7 @@ from .dsl import ParseError, parse_expression, to_dsl
 from .estimator import EstimatorConfig, estimate_density, ordered_map, schedule, schedule_ks
 from .exact import exact_density
 from .oracle import _SUM_SCALE_CAP, brute_partial_sum, counting_density
-from .series import BudgetExceeded, density_at, partial_double_sum
+from .series import density_at, partial_double_sum
 from .sets import ValidationError, grid_mask, normalize
 
 __all__ = ["main"]
@@ -248,7 +248,7 @@ def _cmd_sweep(args) -> int:
     for j in range(args.points):
         k = k0 + (k1 - k0) * j / (args.points - 1)
         s = 1.0 + 0.5 * 2.0 ** (-k)
-        rows.append(density_at(expr, s, args.eps, term_budget=args.budget, loosen=True).to_row())
+        rows.append(density_at(expr, s, args.eps, term_budget=args.budget).to_row())
     _render(args, rows, rows, None)
     return 0
 

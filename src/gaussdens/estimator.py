@@ -18,6 +18,7 @@ near-limit schedule and a loosened per-point target; see the package README.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -54,9 +55,12 @@ def schedule(k0: int = 0, k1: int = 6) -> tuple[float, ...]:
 
 
 def schedule_ks(k0: int, k1: int) -> range:
-    """k = k0..k1, or ValueError unless 0 <= k0 <= k1."""
+    """k = k0..k1, or ValueError unless 0 <= k0 <= k1 and every
+    s = 1 + 0.5 * 2^-k is above 1.0 in double precision (k <= 51)."""
     if k1 < k0 or k0 < 0:
         raise ValueError(f"need 0 <= k0 <= k1, got {k0}..{k1}")
+    if 1.0 + math.ldexp(0.5, -k1) == 1.0:
+        raise ValueError(f"s = 1 + 0.5*2^-k rounds to 1.0 from k = 52 on, got {k0}..{k1}")
     return range(k0, k1 + 1)
 
 
@@ -149,8 +153,7 @@ def estimate_density(
     """
 
     def point(s: float) -> SeriesEval:
-        return density_at(e, s, cfg.per_point_eps, term_budget=cfg.term_budget,
-                          loosen=True)
+        return density_at(e, s, cfg.per_point_eps, term_budget=cfg.term_budget)
 
     points = tuple(ordered_map(point, cfg.s_schedule, cfg.workers))
 

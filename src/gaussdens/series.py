@@ -90,36 +90,36 @@ alone is taken once per atom: a delimited atom's ``_DelimPlan`` holds the one
 cut of a side constant in u, the rows where its growing sides reach 2^62 and
 its first direct cutoff.  Its sides in floats are not the engine's own:
 ``gaussdens.sets`` owns each bound's float view (``BoundFn.floats``, taken
-once per bound), and membership and the row kernel read the same one.  Each
-cache drops its least recently used entry past 4,096 entries (512 for the
-tail tables of 10,001 floats each, and for the constant sides), so a job with
-more (axis, s) pairs than that, such as a union of ten prime lattices, is
-recomputed whole on every run.  A cached result is immutable (a tuple or a
-read-only array) and is exactly what the function returns, so every value,
-tail bound and term count is the same bits with a cold or a warm cache and at
-any worker count (threads share the caches; two may compute one entry twice,
-to the same bits).
+once per bound), and membership and the row kernel read the same one.  The
+lru_caches drop their least recently used entry past 4,096 entries (512 for
+the tail tables of 10,001 floats each).  The axis sums are kept in a plain
+dict that is cleared whole before it would pass 16,384 entries, about twice
+the largest traffic measured, so a repeated estimate of a union of ten prime
+lattices (1,023 axes at each of 7 points) takes none of its sums again.  A
+kept result is immutable (a tuple or a read-only array) and is exactly what
+the function returns, so every value, tail bound and term count is the same
+bits with a cold or a warm cache and at any worker count (threads share the
+caches; two may compute one entry twice, to the same bits).
 
 Each point collects the distinct axes of its product atoms, looks each up in
-the (axis, s) cache and takes every miss in one batch (``_prog_sums``): one
-numpy power over every head term and one vectorised Euler-Maclaurin tail, and
-per axis the head's fsum, d^(-s) and the EM error in Python floats, so each
+the axis memo and takes every miss in one batch (``_prog_sums``): one numpy
+power over every head term and one vectorised Euler-Maclaurin tail, and per
+axis the head's fsum, d^(-s) and the EM error in Python floats, so each
 (value, error, terms) triple is the same bits as summing its axis alone.  A
 point whose axes are all kept makes no numpy call; a delimited atom's axis
-sums go through the same cache as batches of one.  An axis with a head term
-past half the float range (``_far``) takes its far terms and its EM tail in
-logs, and a term below the float range is 0.0; a delimited atom whose row
-plan, inner tables or direct rows would leave the float range is charged its
-whole mass.  The expression itself is compiled once per
-expression object (``compile_set`` keeps the last one), so an estimate, its
-exact reference and every point of a sweep read one compile.
+sums go through the same memo.  An axis with a head term past half the float
+range (``_far``) takes its far terms and its EM tail in logs, and a term below
+the float range is 0.0; a delimited atom whose row plan, inner tables or
+direct rows would leave the float range is charged its whole mass (a constant
+band, its columns' count times the first one's weight).  The expression
+itself is compiled once per expression object (``compile_set`` keeps the last
+one), so an estimate, its exact reference and every point of a sweep read one
+compile.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
@@ -142,7 +142,6 @@ from .sets import (
 
 __all__ = [
     "SeriesEval",
-    "BudgetExceeded",
     "zeta",
     "range_sum",
     "partial_double_sum",
@@ -157,10 +156,6 @@ _DIRECT_SPAN = 10_000   # range_sum switches to EM differences past this span
 _GENERIC_HARD_CAP = 20_000    # generic box side cap (memory/time)
 _CHUNK_ROWS = 1_000_000     # direct rows per np.sum; fixes the summation order
 _BLOCK_ROWS = 16_384        # rows evaluated together inside a chunk (L2-sized)
-
-
-class BudgetExceeded(RuntimeError):
-    """The requested accuracy needs more terms than the configured budget."""
 
 
 @dataclass(frozen=True)
@@ -384,74 +379,44 @@ def _far_prog_sum(a: Prog, s: float) -> tuple[float, float, int]:
 
 
 def _axis_key(a, s: float) -> tuple:
-    """The cache key of an axis at s: its fields, whose hash is native where
+    """The memo key of an axis at s: its fields, whose hash is native where
     the dataclass's own __hash__ is a Python call."""
     return (a.step, a.first, s) if type(a) is Prog else (a.values, s)
 
 
-class _CacheInfo(NamedTuple):
-    maxsize: int
-    currsize: int
+# The axis sums of product atoms, per _axis_key.  The cap is about twice the
+# largest traffic measured with no cap: 7,385 entries over the set_algebra
+# benchmark's seeds 1-3, 7,161 for the four rotations of a ten-prime union.
+_AXIS_CAP = 16_384
+_axis_memo: dict = {}
 
 
-class _AxisSums:
-    """The axis sums of product atoms, kept per (axis, s): least recently
-    used first, at most ``maxsize`` entries.
+def _axis_sums(axes: list, s: float) -> list[tuple[float, float, int]]:
+    """(value, error bound, terms) of each axis at s, in order.
 
-    Called with a point's axes, it looks each up and takes every miss in one
-    batch (``_prog_sums``), so a map whose axes are all kept makes no numpy
-    call.  Its lock guards the entries only: two threads may take one sum
-    twice, to the same bits.
+    Each axis is looked up in the memo and every miss is taken in one batch
+    (``_prog_sums``), so a point whose axes are all kept makes no numpy call.
+    The memo is cleared whole before an update that would pass its cap; a
+    point has at most 2 * ATOM_CAP axes, so its batch always fits.  There is
+    no lock: each get, update and clear is atomic under the GIL, a clear that
+    races another thread only makes it take the same bits again, and updates
+    racing past one check of the cap overshoot it by at most their batches.
     """
-
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self._entries: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __call__(self, axes: list, s: float) -> list[tuple[float, float, int]]:
-        """(value, error bound, terms) of each axis, in order."""
-        out, misses = [], []
-        entries = self._entries
-        with self._lock:
-            for a in axes:
-                key = _axis_key(a, s)
-                r = entries.get(key)
-                if r is None:
-                    misses.append(len(out))
-                else:
-                    entries.move_to_end(key)
-                out.append(r)
-        if not misses:
-            return out
-        new = dict.fromkeys(axes[i] for i in misses)
-        near = [a for a in new if isinstance(a, Prog) and not _far(a)]
-        new.update(zip(near, _prog_sums(near, s)))
-        for a, r in new.items():
-            if r is None:
-                new[a] = _fin_sum(a, s) if isinstance(a, Fin) else _far_prog_sum(a, s)
-        with self._lock:
-            entries.update((_axis_key(a, s), r) for a, r in new.items())
-            while len(entries) > self.maxsize:
-                entries.popitem(last=False)
-        for i in misses:
-            out[i] = new[axes[i]]
+    keys = [_axis_key(a, s) for a in axes]
+    out = [_axis_memo.get(k) for k in keys]
+    misses = {a: k for a, k, r in zip(axes, keys, out) if r is None}
+    if not misses:
         return out
-
-    def cache_info(self) -> _CacheInfo:
-        return _CacheInfo(self.maxsize, len(self._entries))
-
-    def cache_clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-
-_axis_sums = _AxisSums(4096)
-
-
-def _axis_sum(a, s: float) -> tuple[float, float, int]:
-    """_axis_sums of one axis."""
-    return _axis_sums([a], s)[0]
+    new = dict.fromkeys(misses)
+    near = [a for a in new if isinstance(a, Prog) and not _far(a)]
+    new.update(zip(near, _prog_sums(near, s)))
+    for a, r in new.items():
+        if r is None:
+            new[a] = _fin_sum(a, s) if isinstance(a, Fin) else _far_prog_sum(a, s)
+    if len(_axis_memo) + len(new) > _AXIS_CAP:
+        _axis_memo.clear()
+    _axis_memo.update({misses[a]: r for a, r in new.items()})
+    return [new[a] if r is None else r for a, r in zip(axes, out)]
 
 
 # Values a bound takes on every row of a block where it is saturated.
@@ -725,18 +690,6 @@ def _side_runs(b: BoundFloats, u: np.ndarray, lower: bool, v_min: int, s: float,
     return np.repeat(keys, lengths), np.repeat(t, lengths), None
 
 
-@lru_cache(maxsize=512)
-def _constant_side(b: BoundFloats, lower: bool, v_min: int, s: float, an: int,
-                   bn: int) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """_side_rows of a constant bound: one value for every row of every block
-    (read-only, since every caller shares it)."""
-    side = _side_rows(b, None, None, lower, v_min, s, an, bn)
-    for a in side:
-        if a is not None:
-            a.flags.writeable = False
-    return side
-
-
 def _row_block(atom: DelimAtom, s: float, u: np.ndarray):
     """(w, inner, jitter) on ascending rows u: the outer weight (am*u+bm)^(-s),
     the inner range sum and the cut-jitter bound (None if 0 on every row)."""
@@ -750,9 +703,6 @@ def _row_block(atom: DelimAtom, s: float, u: np.ndarray):
     logu = None
     rows = []
     for b, lower in ((atom.lower.floats, True), (atom.upper.floats, False)):
-        if b.kind is Constant:
-            rows.append(_constant_side(b, lower, atom.v_min, s, an, bn))
-            continue
         side = _side_runs(b, u, lower, atom.v_min, s, an, bn)
         if side is None:
             if logu is None and b.kind is Power:
@@ -760,9 +710,8 @@ def _row_block(atom: DelimAtom, s: float, u: np.ndarray):
             side = _side_rows(b, u, logu, lower, atom.v_min, s, an, bn)
         rows.append(side)
     (k_lo, t_lo, jit_lo), (k_hi, t_hi, jit_hi) = rows
-    # inner into a side's own tail where one covers the block (the constant
-    # sides' one value is shared, and read-only)
-    out = next((t for t in (t_hi, t_lo) if t.shape == u.shape and t.flags.writeable), None)
+    # inner into a side's own tail where one covers the block
+    out = next((t for t in (t_hi, t_lo) if t.shape == u.shape), None)
     inner = np.subtract(t_lo, t_hi, out=out)
     if k_lo[-1] > k_hi[0]:     # some row may be empty (the keys ascend)
         np.copyto(inner, 0.0, where=k_lo > k_hi)
@@ -937,25 +886,33 @@ def _delim_plan(atom: DelimAtom) -> _DelimPlan:
 
 
 def _eval_delim_atom(atom: DelimAtom, s: float, eps_abs: float, rows_budget: int,
-                     term_budget: int) -> tuple[float, float, int, bool]:
-    """(value, error bound, rows used, met) of the atom's double sum, with
+                     term_budget: int) -> tuple[float, float, int]:
+    """(value, error bound, rows used) of the atom's double sum, with
     rows_budget rows left of the point's term_budget."""
     am, bm, an, bn = atom.am, atom.bm, atom.an, atom.bn
     outer, inner = Prog(am, am * atom.u_min + bm), Prog(an, an * atom.v_min + bn)
+    const_band = _const_like(atom.lower) and _const_like(atom.upper)
 
-    def whole_mass() -> tuple[float, float, int, bool]:
-        """(0, bound, terms, met) charging every row and column the cuts
-        allow, summed on each axis: met where that is within the target"""
+    def whole_mass() -> tuple[float, float, int]:
+        """(0, bound, terms) charging every row and column the cuts allow,
+        summed on each axis; a constant band's k_hi - k_lo columns are charged
+        at most their count times the first one's weight"""
         (vo, eo, to), (vi, ei, ti) = _axis_sums([outer, inner], s)
-        err = (vo + eo) * (vi + ei) * (1.0 + 1e-15)
-        return 0.0, err, to + ti, err <= eps_abs
+        cols = vi + ei
+        if const_band:
+            k_lo, k_hi = _delim_plan(atom).cuts
+            if k_hi < _HUGE:    # (an upper cut past 2^62 saturates there)
+                # a weight below the float range is 0.0 here, or subnormal
+                # with up to 2^-1075 of rounding: 2^-1073 covers both
+                vf, ef, _ = _fin_sum(Fin((an * (k_lo + 1) + bn,)), s)
+                cols = min(cols, max(k_hi - k_lo, 0) * (vf + ef + 2.0 ** -1073))
+        return 0.0, (vo + eo) * cols * (1.0 + 1e-15), to + ti
 
     # the row plan, the inner tail tables (v <= _TABLE) and the direct rows'
     # weights are floats: an atom that takes them past the float range is
     # charged its whole mass (a constant band's rows are one outer axis sum,
     # which takes a far axis in logs)
-    if _far(inner, _TABLE) or (_far(outer) and not (_const_like(atom.lower)
-                                                     and _const_like(atom.upper))):
+    if _far(inner, _TABLE) or (_far(outer) and not const_band):
         return whole_mass()
     plan = _delim_plan(atom)
     lower, upper = atom.lower.floats, atom.upper.floats
@@ -964,10 +921,10 @@ def _eval_delim_atom(atom: DelimAtom, s: float, eps_abs: float, rows_budget: int
     if k_lo is not None and k_hi is not None:
         # constant band: every row carries the same integer range
         if k_lo >= k_hi:
-            return 0.0, 0.0, 0, True
+            return 0.0, 0.0, 0
         band = _tail_int(k_lo, s, an, bn) - _tail_int(k_hi, s, an, bn)
-        vo, eo, terms = _axis_sum(outer, s)
-        return band * vo, band * eo + 1e-15 * band * vo, terms, True
+        (vo, eo, terms), = _axis_sums([outer], s)
+        return band * vo, band * eo + 1e-15 * band * vo, terms
 
     M = plan.start
     if M > term_budget:
@@ -978,11 +935,7 @@ def _eval_delim_atom(atom: DelimAtom, s: float, eps_abs: float, rows_budget: int
         v_lo, e_lo = _delim_rem_terms(lower, k_lo, +1.0, atom, s, M)
         v_up, e_up = _delim_rem_terms(upper, k_hi, -1.0, atom, s, M)
         rem_val, rem_err = v_lo + v_up, e_lo + e_up
-        if rem_err <= eps_abs * 0.5:
-            met = True
-            break
-        if M >= rows_budget:
-            met = False
+        if rem_err <= eps_abs * 0.5 or M >= rows_budget:
             break
         M = min(M * 2, max(rows_budget, M + 1))
     if _far(outer, M):
@@ -991,11 +944,11 @@ def _eval_delim_atom(atom: DelimAtom, s: float, eps_abs: float, rows_budget: int
     row_sums, jitter_direct, total_rows = _direct_rows(atom, s, M)
     value = math.fsum(row_sums) + rem_val
     err = rem_err + jitter_direct + 1e-15 * abs(value)
-    return value, err, total_rows, met
+    return value, err, total_rows
 
 
 def _eval_gen_atom(atom: GenAtom, s: float, eps_abs: float,
-                   terms_budget: int) -> tuple[float, float, int, bool]:
+                   terms_budget: int) -> tuple[float, float, int]:
     z = zeta(s)
     d = s - 1.0
 
@@ -1013,16 +966,16 @@ def _eval_gen_atom(atom: GenAtom, s: float, eps_abs: float,
         # the reachable bound carries no information; spend fewer terms on it
         n = min(n, 2000)
     value = partial_double_sum(atom.expr, s, n)
-    return value, bound(n), n * n, met
+    return value, bound(n), n * n
 
 
 def _eval_atom(a, s: float, eps_abs: float, budget: int, term_budget: int):
-    """(value, error bound, terms, met) of an atom other than a product."""
+    """(value, error bound, terms) of an atom other than a product."""
     if isinstance(a, FinAtom):
         # a point past the float range gives a term below it, 0.0
         vals = [(float(m) * float(n)) ** -s if max(m, n) < _FLOAT_LIMIT else 0.0
                 for m, n in a.pairs]
-        return math.fsum(vals), 1e-15 * len(vals), len(vals), True
+        return math.fsum(vals), 1e-15 * len(vals), len(vals)
     if isinstance(a, DelimAtom):
         return _eval_delim_atom(a, s, eps_abs, budget, term_budget)
     if isinstance(a, GenAtom):
@@ -1084,11 +1037,9 @@ def density_at(
     eps: float,
     *,
     term_budget: int = DEFAULT_TERM_BUDGET,
-    loosen: bool = False,
 ) -> SeriesEval:
-    """ratio(s) with tail_bound <= eps, or BudgetExceeded if that needs more
-    than term_budget terms (with loosen=True the best value within budget is
-    returned instead, its true tail bound reported honestly)."""
+    """ratio(s) and a true bound on its error: at most eps where term_budget
+    terms reach it, else the bound that the budget reaches."""
     if not s > 1.0:
         raise ValueError(f"density_at requires s > 1, got {s}")
     if not eps > 0.0:
@@ -1106,23 +1057,15 @@ def density_at(
     values: list[float] = []
     errs: list[float] = []
     terms = 0
-    met_all = True
     for atom, coef in atoms.items():
         if isinstance(atom, ProdAtom):
             (vh, eh, th), (vv, ev, tv) = next(sums), next(sums)
-            v, err, t, met = vh * vv, vh * ev + vv * eh + eh * ev, th + tv, True
+            v, err, t = vh * vv, vh * ev + vv * eh + eh * ev, th + tv
         else:
-            v, err, t, met = _eval_atom(atom, s, eps_abs, max(term_budget - terms, 0),
-                                        term_budget)
+            v, err, t = _eval_atom(atom, s, eps_abs, max(term_budget - terms, 0), term_budget)
         values.append(coef * v)
         errs.append(abs(coef) * err)
         terms += t
-        met_all = met_all and met
-    if not met_all and not loosen:
-        raise BudgetExceeded(
-            f"tail bound {math.fsum(errs) / z2:.3e} > eps {eps:.3e} at s={s} "
-            f"within term budget {term_budget}; s is too close to 1 for this eps"
-        )
     value = max(math.fsum(values) / z2, 0.0)
     tail = math.fsum(errs) / z2 + 1e-14 * value + _TAIL_FLOOR
     return SeriesEval(s, value, tail, terms, _method_label(atoms))

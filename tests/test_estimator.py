@@ -45,6 +45,10 @@ def test_schedule_default():
     assert sched[-1] == 1.0 + 1.0 / 128.0
     assert len(sched) == 7
     assert all(a > b for a, b in zip(sched, sched[1:]))
+    # the last k whose s is above 1.0 in double precision
+    assert schedule(45, 51)[-1] == 1.0 + 2.0 ** -52
+    with pytest.raises(ValueError):
+        schedule(46, 52)
 
 
 def test_config_validation():

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from gaussdens import (
-    BudgetExceeded,
     Constant,
     Delimited,
     Dilate,
@@ -216,8 +215,8 @@ def test_loose_and_tight_evaluations_agree_within_their_bounds(entry):
     # sum; no slack is added.  A band that cannot meet 1e-9 within the budget
     # reports the bound it reached, which the check holds it to as well.
     for s in (2.0, 1.5, 1.25):
-        loose = density_at(entry.expr, s, 1e-3, loosen=True)
-        tight = density_at(entry.expr, s, 1e-9, term_budget=10 ** 6, loosen=True)
+        loose = density_at(entry.expr, s, 1e-3)
+        tight = density_at(entry.expr, s, 1e-9, term_budget=10 ** 6)
         assert abs(loose.value - tight.value) <= loose.tail_bound + tight.tail_bound, s
 
 
@@ -309,9 +308,7 @@ def test_density_at_atom_cap():
 
 def test_density_at_budget_exceeded():
     gen = Intersection(Delimited(Constant(1), Power(1, 2)), Lattice(2, 2))
-    with pytest.raises(BudgetExceeded):
-        density_at(gen, 1.0078125, 1e-6)
-    ev = density_at(gen, 1.0078125, 1e-6, loosen=True)
+    ev = density_at(gen, 1.0078125, 1e-6)
     assert ev.tail_bound > 1e-6  # honest: the request was not met
 
 
@@ -742,15 +739,14 @@ def test_an_exact_power_past_the_float_range_raises_no_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for s in (1.5, 1.0078125):
-            assert density_at(band, s, 1e-5, loosen=True).terms_used > 0
+            assert density_at(band, s, 1e-5).terms_used > 0
 
 
 def test_tiny_exponent_band_charges_its_whole_mass():
     # pow(1, 10^-6) reaches 64 only past row 2^62: no row can meet the target
     band = parse_expression("delim(pow(1,1/1000000),pow(1,1000000))")
-    with pytest.raises(BudgetExceeded):
-        density_at(band, 1.5, 1e-6)
-    ev = density_at(band, 1.5, 1e-6, loosen=True)
+    ev = density_at(band, 1.5, 1e-6)
+    assert ev.tail_bound > 1e-6  # honest: the request was not met
     assert ev.value == 0.0
     assert ev.terms_used < 1000
     # the band lies in the quadrant, whose ratio is 1: the bound covers it
@@ -771,12 +767,12 @@ def test_a_later_band_sums_its_start_when_earlier_atoms_spent_the_budget(monkeyp
         return seen[-1][2]
 
     monkeypatch.setattr(series, "_eval_delim_atom", spy)
-    density_at(parse_expression(text), s, eps, term_budget=budget, loosen=True)
+    density_at(parse_expression(text), s, eps, term_budget=budget)
     (_, _, first), (second, (_, eps_abs, left, _), got) = seen
-    assert first[2:] == (16_388, True)
+    assert first[2] == 16_388 and first[1] <= eps_abs
     assert left == budget - 16_388 < series._delim_plan(second).start
     assert got == evaluate(second, s, eps_abs, budget, budget)
-    assert got[2:] == (2048, True)
+    assert got[2] == 2048 and got[1] <= eps_abs
 
 
 # ---------------------------------------------------------------------------
@@ -791,25 +787,33 @@ from gaussdens.cli import main  # noqa: E402
 from gaussdens.estimator import EstimatorConfig, estimate_density, ordered_map, schedule  # noqa: E402
 from test_sets import _exprs  # noqa: E402
 
-# every memoised quantity of the series engine
-_CACHES = (series.zeta, series._tail_table, series._constant_side, series._axis_sums,
-           series._em_tails, series._delim_plan)
+# every memoised quantity of the series engine: these and the axis memo
+_CACHES = (series.zeta, series._tail_table, series._em_tails, series._delim_plan)
 
 
 def _clear_caches():
     for cache in _CACHES:
         cache.cache_clear()
+    series._axis_memo.clear()
 
 
 def test_every_series_cache_is_bounded():
     for cache in _CACHES:
         assert isinstance(cache.cache_info().maxsize, int), cache   # None: unbounded
         assert cache.cache_info().maxsize <= 4096, cache
+    # the axis memo is cleared whole before it would pass its cap, and a point's
+    # batch always fits
+    assert 2 * atoms_module.ATOM_CAP < series._AXIS_CAP <= 16_384
+    series._axis_memo.clear()
+    for k in range(2 * series._AXIS_CAP // len(_PRIME_AXES)):
+        s = 1.0 + 2.0 ** -(k + 1)
+        assert series._axis_sums(_PRIME_AXES, s) == series._prog_sums(_PRIME_AXES, s)
+        assert len(_PRIME_AXES) <= len(series._axis_memo) <= series._AXIS_CAP
 
 
 def _point_rows(e, workers):
     def point(s):
-        return density_at(e, s, 1e-4, term_budget=10 ** 6, loosen=True).to_row()
+        return density_at(e, s, 1e-4, term_budget=10 ** 6).to_row()
 
     return ordered_map(point, (2.0, 1.5, 1.25, 1.125), workers)
 
@@ -833,7 +837,7 @@ def test_threads_filling_the_caches_get_the_same_bits():
     cases = [(parse_expression(t), s) for t in texts for s in (2.0, 1.5, 1.25, 1.125)] * 4
 
     def row(case):
-        return density_at(case[0], case[1], 1e-4, loosen=True).to_row()
+        return density_at(case[0], case[1], 1e-4).to_row()
 
     _clear_caches()
     want = [row(case) for case in cases]
@@ -849,6 +853,7 @@ def test_threads_filling_the_caches_get_the_same_bits():
     assert got == want
     for cache in _CACHES:
         assert cache.cache_info().currsize <= cache.cache_info().maxsize
+    assert len(series._axis_memo) <= series._AXIS_CAP
 
 
 def test_check_is_the_same_bytes_with_cold_and_warm_caches(tmp_path):
@@ -904,14 +909,10 @@ def _dsum_1d_reference(a, s):
     return head + tail, err, j_cut + 8
 
 
-def _prime_union_axes():
-    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
-    e = reduce(Union, [Lattice(p, primes[(i + 1) % 10]) for i, p in enumerate(primes)])
-    return sorted({x for a in compile_set(e) for x in (a.h, a.v)},
-                  key=lambda a: (a.step, a.first))
-
-
-_PRIME_AXES = _prime_union_axes()
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+_PRIME_UNION = reduce(Union, [Lattice(p, _PRIMES[(i + 1) % 10]) for i, p in enumerate(_PRIMES)])
+_PRIME_AXES = sorted({x for a in compile_set(_PRIME_UNION) for x in (a.h, a.v)},
+                     key=lambda a: (a.step, a.first))
 _axes = st.one_of(
     st.integers(1, 10 ** 15).flatmap(
         lambda d: st.builds(Prog, st.just(d), st.integers(1, 3 * d))),
@@ -928,8 +929,8 @@ _axes = st.one_of(
 def test_batched_axis_sums_are_the_per_axis_sums_bit_for_bit(axes, s):
     want = [_dsum_1d_reference(a, s) for a in axes]
     assert series._prog_sums(axes, s) == want
-    # through the cache: every axis a miss, then every axis a hit
-    series._axis_sums.cache_clear()
+    # through the memo: every axis a miss, then every axis a hit
+    series._axis_memo.clear()
     assert series._axis_sums(axes, s) == want
     assert series._axis_sums(axes, s) == want
 
@@ -941,12 +942,15 @@ def test_the_prime_union_axes_in_one_batch_are_the_per_axis_sums():
         assert got == [_dsum_1d_reference(a, s) for a in _PRIME_AXES]
 
 
-def test_a_point_whose_axes_are_kept_takes_no_batch(monkeypatch):
-    e = parse_expression("union(lattice(2,3),translate(lattice(3,2),1,1))")
-    density_at(e, 1.5, 1e-6)
+@pytest.mark.parametrize("e", [parse_expression("union(lattice(2,3),translate(lattice(3,2),1,1))"),
+                               _PRIME_UNION], ids=["two-lattices", "ten-primes"])
+def test_a_point_whose_axes_are_kept_takes_no_batch(e, monkeypatch):
+    # a ten-prime union estimate keeps 1,023 axes at each of its 7 points
+    series._axis_memo.clear()
+    estimate_density(e)
     batches = []
     monkeypatch.setattr(series, "_prog_sums", lambda *args: batches.append(args))
-    density_at(e, 1.5, 1e-6)
+    estimate_density(e)
     assert batches == []
 
 
@@ -998,6 +1002,10 @@ def _hurwitz_decimal(a: int, s: Decimal) -> Decimal:
     return total
 
 
+def _zeta_decimal(s: Decimal) -> Decimal:
+    return sum(Decimal(n) ** -s for n in range(1, 100)) + _hurwitz_decimal(100, s)
+
+
 @pytest.mark.parametrize("s", [1.5, 1.0 + 2.0 ** -7])
 def test_an_axis_past_the_float_range_against_a_decimal_reference(s):
     # upper(M, 1) has the ratio sum_{m >= M} m^(-s) / zeta(s), and its first
@@ -1006,11 +1014,29 @@ def test_an_axis_past_the_float_range_against_a_decimal_reference(s):
     with localcontext() as ctx:
         ctx.prec = 50
         sd = Decimal(s)
-        zeta_s = sum(Decimal(n) ** -sd for n in range(1, 100)) + _hurwitz_decimal(100, sd)
-        ref = _hurwitz_decimal(big, sd) / zeta_s
+        ref = _hurwitz_decimal(big, sd) / _zeta_decimal(sd)
     ev = density_at(UpperQuadrant(big, 1), s, 1e-9)
     assert ev.value > 0.0
     assert abs(Decimal(ev.value) - ref) <= Decimal(ev.tail_bound)
+
+
+@pytest.mark.parametrize("s", [1.5, 1.0 + 2.0 ** -7])
+def test_a_constant_band_past_the_float_range_is_charged_its_columns(s):
+    # a band of columns n = M+1..M+w past the float range is charged its whole
+    # mass: five columns' worth at w = 5, not that of every column from M+1 on.
+    # At w = M its upper cut saturates at 2^62, and every column is charged.
+    big = 10 ** 400
+    with localcontext() as ctx:
+        ctx.prec = 50
+        sd = Decimal(s)
+        narrow = sum(Decimal(big + v) ** -sd for v in range(1, 6)) / _zeta_decimal(sd)
+        wide = (_hurwitz_decimal(big + 1, sd) - _hurwitz_decimal(2 * big + 1, sd)) / _zeta_decimal(sd)
+    for width, ref in ((5, narrow), (big, wide)):
+        text = f"translate(delim(const(1),const({width})),0,{big})"
+        ev = density_at(parse_expression(text), s, 1e-6)
+        assert abs(Decimal(ev.value) - ref) <= Decimal(ev.tail_bound), width
+        if width == 5:
+            assert ev.tail_bound <= 1e-6
 
 
 @pytest.mark.parametrize("m,n", [(10 ** 308, 3), (2 ** 1020, 1), (2 ** 1030, 1),
@@ -1041,8 +1067,8 @@ def test_a_band_dilated_toward_the_float_range_has_a_true_bound(form, exp10):
     # direct rows' weights or the inner tail table would pass the float range
     band = "delim(const(1),pow(1,2))"
     s = 1.0 + 2.0 ** -7
-    base = density_at(parse_expression(band), s, 1e-9, loosen=True)
-    ev = density_at(parse_expression(form.format(d=10 ** exp10, band=band)), s, 1e-9, loosen=True)
+    base = density_at(parse_expression(band), s, 1e-9)
+    ev = density_at(parse_expression(form.format(d=10 ** exp10, band=band)), s, 1e-9)
     with localcontext() as ctx:
         ctx.prec = 50
         scale = Decimal(10) ** (-exp10 * Decimal(s))
