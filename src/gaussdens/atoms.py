@@ -19,11 +19,16 @@ Each node is built from its compiled children,
     c(not A) = full - c(A)                  c(A n B) = c(A)c(B),
 
 where the product intersects atoms pairwise (CRT on progressions, filtering
-of finite lists, and quadrant cuts on bands and generic atoms) and merges
-equal atoms.  When a pair of atoms has no intersection rule, the whole
-product becomes one ``GenAtom`` of the intersection.  When any node's merged
-map, or a product while it is being built, holds more than ``ATOM_CAP``
-atoms, the whole expression compiles to one ``GenAtom``.
+of finite lists, quadrant cuts on bands and generic atoms, and an atom with
+itself) and merges equal atoms.  When a pair of atoms has no intersection
+rule, the whole product becomes one ``GenAtom`` of the intersection.  When
+any node's merged map, or a product while it is being built, holds more
+than ``ATOM_CAP`` atoms, the whole expression compiles to one ``GenAtom``.
+
+A side constant in m is an integer cut (exact past 2^62, where ``BoundFn``
+saturates): a band between constants lo and hi is every row times the
+columns lo..hi, two product atoms, and a constant lower side is
+``Constant(1)`` cut at v >= lo.  No ``DelimAtom`` has a constant upper side.
 
 ``compile_set`` keeps the last expression object it compiled and its map, as
 ``sets.contains`` keeps its predicate: the exact reference of an estimate,
@@ -41,6 +46,7 @@ from typing import Optional
 from .sets import (
     BoundFn,
     Complement,
+    Constant,
     Delimited,
     Difference,
     Dilate,
@@ -61,7 +67,9 @@ from .sets import (
     Translate,
     Union,
     UpperQuadrant,
+    _HUGE,
     contains,
+    power_form,
 )
 
 __all__ = [
@@ -231,7 +239,13 @@ def _compile(e: GaussSetExpr) -> dict:
     if isinstance(e, FinitePairs):
         return {FinAtom(e.pairs): 1} if e.pairs else {}
     if isinstance(e, Delimited):
-        return {DelimAtom(e.lower, e.upper, 1, 0, 1, 0, 1, 1): 1}
+        lo, hi = _constant_cut(e.lower, math.ceil), _constant_cut(e.upper, math.floor)
+        if hi is not None:      # (then so is lo: validation forbids a growing lower side)
+            return {} if lo > hi else {ProdAtom(Prog(1, 1), Prog(1, lo)): 1,
+                                       ProdAtom(Prog(1, 1), Prog(1, hi + 1)): -1}
+        if lo is None:
+            return {DelimAtom(e.lower, e.upper, 1, 0, 1, 0, 1, 1): 1}
+        return {DelimAtom(Constant(1), e.upper, 1, 0, 1, 0, 1, lo): 1}
     if isinstance(e, (Translate, Dilate)):
         return {_map_atom(a, e): c for a, c in _compile(e.inner).items()}
     if isinstance(e, Union):
@@ -245,6 +259,16 @@ def _compile(e: GaussSetExpr) -> dict:
     if isinstance(e, Intersection):
         return _meet(_compile(e.left), _compile(e.right), e.left, e.right)
     raise TypeError(f"unknown GaussSetExpr node {e!r}")
+
+
+def _constant_cut(b: BoundFn, rounding) -> Optional[int]:
+    """The cut (math.ceil or math.floor) of a side constant in m, as
+    membership takes it below 2^62; None for a growing side."""
+    form = power_form(b)
+    if form is None or form[1]:
+        return None
+    cut = b._cut(1, rounding)
+    return cut if cut < _HUGE else rounding(form[0])
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +368,8 @@ def _atom_intersect(a, b):
     x, quad = (a, b) if isinstance(b, ProdAtom) else (b, a)
     if not (isinstance(quad, ProdAtom)
             and all(isinstance(p, Prog) and p.step == 1 for p in (quad.h, quad.v))):
+        if a == b:
+            return a
         raise _Unsupported
     m0, n0 = quad.h.first, quad.v.first
     if isinstance(x, GenAtom):

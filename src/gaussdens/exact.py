@@ -279,4 +279,5 @@ def exact_density(e: GaussSetExpr) -> DensityValue:
     if any(d is None for _, d, _ in parts):
         return DensityValue.unknown()
     trace = _merge_traces(_node_rules(e), *dict.fromkeys(rules for _, _, rules in parts))
-    return DensityValue(sum((c * d for c, d, _ in parts), Fraction(0)), trace)
+    # an empty band between constants compiles to no atom, under no node rule
+    return DensityValue(sum((c * d for c, d, _ in parts), Fraction(0)), trace or ("empty-set",))

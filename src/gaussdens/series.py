@@ -87,7 +87,7 @@ the inner tail tables (per s and inner affine map), the axis sums of product
 atoms (per axis and s) and the Euler-Maclaurin remainder tails (per cutoff
 and exponent list, which s and the power fix).  What depends on the atom
 alone is taken once per atom: a delimited atom's ``_DelimPlan`` holds the one
-cut of a side constant in u, the rows where its growing sides reach 2^62 and
+cut of a constant lower side, the rows where its growing sides reach 2^62 and
 its first direct cutoff.  Its sides in floats are not the engine's own:
 ``gaussdens.sets`` owns each bound's float view (``BoundFn.floats``, taken
 once per bound), and membership and the row kernel read the same one.  The
@@ -110,8 +110,9 @@ point whose axes are all kept makes no numpy call; a delimited atom's axis
 sums go through the same memo.  An axis with a head term past half the float
 range (``_far``) takes its far terms and its EM tail in logs, and a term below
 the float range is 0.0; a delimited atom whose row plan, inner tables or
-direct rows would leave the float range is charged its whole mass (a constant
-band, its columns' count times the first one's weight).  The expression
+direct rows would leave the float range, or whose lower cut v_min passes the
+row kernel's 2^62 cap, is charged its whole mass.  (A band between constants
+compiles to product atoms.)  The expression
 itself is compiled once per expression object (``compile_set`` keeps the last
 one), so an estimate, its exact reference and every point of a sweep read one
 compile.
@@ -129,7 +130,6 @@ import numpy as np
 from .atoms import DelimAtom, Fin, FinAtom, GenAtom, ProdAtom, Prog, compile_set
 from .sets import (
     BoundFloats,
-    BoundFn,
     Constant,
     Exponential,
     GaussSetExpr,
@@ -137,7 +137,6 @@ from .sets import (
     _HUGE,
     _LOG_HUGE,
     grid_mask,
-    power_form,
 )
 
 __all__ = [
@@ -762,11 +761,6 @@ def _direct_rows(atom: DelimAtom, s: float, M: int) -> tuple[list[float], float,
     return row_sums, jitter, rows
 
 
-def _const_like(b: BoundFn) -> bool:
-    form = power_form(b)
-    return form is not None and form[1] == 0
-
-
 def _crossover_u(b: BoundFloats, target: float) -> int:
     """Smallest u with b(u) >= target (conservative), for a growing side (a
     power with alpha > 0, or an exponential); saturates at _HUGE, past any
@@ -795,7 +789,7 @@ def _delim_rem_terms(side: BoundFloats, cut: Optional[int], sign: float, atom: D
     """(value, error bound) of sign * sum_{u>M} W(u) * T(cut of side(u)).
 
     W(u) = (am*u+bm)^(-s), T the inner tail with affine (an, bn); ``cut`` is
-    the one cut of a side constant in u (see _DelimPlan), else None.
+    the one cut of a constant lower side (see _DelimPlan), else None.
     """
     am, bm, an, bn = atom.am, atom.bm, atom.an, atom.bn
     btil = bm / am
@@ -864,24 +858,21 @@ def _delim_required_start(atom: DelimAtom, growing: list[BoundFloats]) -> int:
 class _DelimPlan(NamedTuple):
     """What a delimited atom's evaluation needs that does not depend on s."""
 
-    # the inner cut k of a side constant in u, whose rows' inner tails are
-    # all T(k): ceil(lower) - 1 (at least v_min - 1), floor(upper); None for
-    # a growing side
-    cuts: tuple[Optional[int], Optional[int]]
+    # the inner cut v_min - 1 of a constant lower side (the compiler leaves
+    # only Constant(1) there), whose rows' inner tails are all T(v_min - 1);
+    # None for a growing lower side.  The upper side always grows.
+    cut: Optional[int]
     saturated: tuple[int, ...]      # the row where each growing side reaches 2^62
-    start: int                      # _delim_required_start (0 for a constant band)
+    start: int                      # _delim_required_start
 
 
 @lru_cache(maxsize=4096)
 def _delim_plan(atom: DelimAtom) -> _DelimPlan:
     """The atom's _DelimPlan, taken once per atom instead of once per point."""
     lower, upper = atom.lower, atom.upper
-    cuts = (max(lower.ceil_at(1), atom.v_min) - 1 if _const_like(lower) else None,
-            upper.floor_at(1) if _const_like(upper) else None)
-    growing = [b.floats for b, k in zip((lower, upper), cuts) if k is None]
-    if not growing:     # no direct rows, and v_min may be past the float range
-        return _DelimPlan(cuts, (), 0)
-    return _DelimPlan(cuts, tuple(_crossover_u(b, float(_HUGE)) for b in growing),
+    cut = atom.v_min - 1 if isinstance(lower, Constant) else None
+    growing = [upper.floats] if cut is not None else [lower.floats, upper.floats]
+    return _DelimPlan(cut, tuple(_crossover_u(b, float(_HUGE)) for b in growing),
                       _delim_required_start(atom, growing))
 
 
@@ -891,49 +882,28 @@ def _eval_delim_atom(atom: DelimAtom, s: float, eps_abs: float, rows_budget: int
     rows_budget rows left of the point's term_budget."""
     am, bm, an, bn = atom.am, atom.bm, atom.an, atom.bn
     outer, inner = Prog(am, am * atom.u_min + bm), Prog(an, an * atom.v_min + bn)
-    const_band = _const_like(atom.lower) and _const_like(atom.upper)
 
     def whole_mass() -> tuple[float, float, int]:
         """(0, bound, terms) charging every row and column the cuts allow,
-        summed on each axis; a constant band's k_hi - k_lo columns are charged
-        at most their count times the first one's weight"""
+        summed on each axis"""
         (vo, eo, to), (vi, ei, ti) = _axis_sums([outer, inner], s)
-        cols = vi + ei
-        if const_band:
-            k_lo, k_hi = _delim_plan(atom).cuts
-            if k_hi < _HUGE:    # (an upper cut past 2^62 saturates there)
-                # a weight below the float range is 0.0 here, or subnormal
-                # with up to 2^-1075 of rounding: 2^-1073 covers both
-                vf, ef, _ = _fin_sum(Fin((an * (k_lo + 1) + bn,)), s)
-                cols = min(cols, max(k_hi - k_lo, 0) * (vf + ef + 2.0 ** -1073))
-        return 0.0, (vo + eo) * cols * (1.0 + 1e-15), to + ti
+        return 0.0, (vo + eo) * (vi + ei) * (1.0 + 1e-15), to + ti
 
-    # the row plan, the inner tail tables (v <= _TABLE) and the direct rows'
-    # weights are floats: an atom that takes them past the float range is
-    # charged its whole mass (a constant band's rows are one outer axis sum,
-    # which takes a far axis in logs)
-    if _far(inner, _TABLE) or (_far(outer) and not const_band):
+    # the row plan, the inner tail tables (v <= _TABLE), the row kernel's
+    # cuts (capped at 2^62) and the direct rows' weights are floats: an atom
+    # that takes them past their range is charged its whole mass
+    if _far(inner, _TABLE) or atom.v_min >= _HUGE or _far(outer):
         return whole_mass()
     plan = _delim_plan(atom)
     lower, upper = atom.lower.floats, atom.upper.floats
-    k_lo, k_hi = plan.cuts
-
-    if k_lo is not None and k_hi is not None:
-        # constant band: every row carries the same integer range
-        if k_lo >= k_hi:
-            return 0.0, 0.0, 0
-        band = _tail_int(k_lo, s, an, bn) - _tail_int(k_hi, s, an, bn)
-        (vo, eo, terms), = _axis_sums([outer], s)
-        return band * vo, band * eo + 1e-15 * band * vo, terms
-
     M = plan.start
     if M > term_budget:
         # the remainder forms hold only past M, which the point's whole budget
         # cannot reach
         return whole_mass()
     while True:
-        v_lo, e_lo = _delim_rem_terms(lower, k_lo, +1.0, atom, s, M)
-        v_up, e_up = _delim_rem_terms(upper, k_hi, -1.0, atom, s, M)
+        v_lo, e_lo = _delim_rem_terms(lower, plan.cut, +1.0, atom, s, M)
+        v_up, e_up = _delim_rem_terms(upper, None, -1.0, atom, s, M)
         rem_val, rem_err = v_lo + v_up, e_lo + e_up
         if rem_err <= eps_abs * 0.5 or M >= rows_budget:
             break

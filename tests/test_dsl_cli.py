@@ -407,7 +407,8 @@ def test_cli_sums_past_the_float_range(text, capsys):
 ], ids=["translate-u", "translate-v", "dilate", "translate-u-1e308", "constant-band-v"])
 def test_cli_delimited_atoms_past_the_float_range(text, capsys):
     # a delimited atom on an axis past the float range is charged its whole
-    # mass: each point reads 0.0 with a finite bound
+    # mass, and a band between constants is two product atoms whose far
+    # column axes are summed in logs: each point reads 0.0 with a finite bound
     for command in ("estimate", "compare", "sweep"):
         argv = [command, text, "--format", "json"] + _FLAGS_SMALL[command]
         points = _json_points(command, json.loads(_run(argv, capsys)))
@@ -510,6 +511,18 @@ def test_cli_exact_csv(capsys):
     assert lines[0] == "kind,value,numerator,denominator,trace"
     assert lines[1].startswith("rational,") and ",1,6," in lines[1]
     assert lines[2:] == [""]
+
+
+def test_cli_empty_constant_band_exits_0(capsys):
+    # no integer lies in [3/2, 17/10]: density 0 with a trace, and 0.0 at
+    # every point
+    text = "delim(const(3/2),const(17/10))"
+    doc = json.loads(_run(["exact", text, "--format", "json"], capsys))
+    assert (doc["kind"], doc["numerator"], doc["trace"]) == ("rational", 0, ["empty-set"])
+    for command in ("estimate", "compare", "sweep"):
+        argv = [command, text, "--format", "json"] + _FLAGS_SMALL[command]
+        points = _json_points(command, json.loads(_run(argv, capsys)))
+        assert points and all(float(p["value"]) == 0.0 for p in points), command
 
 
 def test_cli_estimate_json_and_csv_on_stdout(capsys):

@@ -37,6 +37,7 @@ from gaussdens import (
 )
 from gaussdens.atoms import ATOM_CAP, _CapExceeded, _product
 from gaussdens.corpus import CORPUS
+from gaussdens.dsl import parse_expression
 from gaussdens.sets import int_contains
 
 
@@ -203,6 +204,23 @@ def test_unknown_when_no_rule_applies():
     v = exact_density(Intersection(Delimited(Constant(1), Power(1, 2)), Lattice(2, 2)))
     assert v.kind == "unknown"
     assert v.trace == ()
+
+
+_BAND = "delim(pow(1,1/2),pow(1,2))"
+
+
+@pytest.mark.parametrize("text,expected", [
+    (f"union({_BAND},{_BAND})", Fraction(1, 3)),
+    (f"inter({_BAND},{_BAND})", Fraction(1, 3)),
+    # the same band twice: v >= 3 below pow(3,2), once as a constant lower
+    # side and once as a quadrant cut
+    ("diff(delim(const(3),pow(3,2)),inter(delim(const(1),pow(3,2)),upper(1,3)))", 0),
+    # a band between constants is two quadrants, which meet bands and lattices
+    ("inter(delim(const(1),const(5)),delim(const(1),pow(1,2)))", 0),
+    ("inter(delim(const(1),const(5)),lattice(2,2))", 0),
+])
+def test_an_atom_meets_itself(text, expected):
+    assert frac(parse_expression(text)) == expected
 
 
 def test_unknown_above_the_atom_cap():

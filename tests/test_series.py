@@ -890,6 +890,8 @@ def test_an_estimate_takes_each_atom_plan_once(monkeypatch):
 
 from decimal import Decimal, localcontext  # noqa: E402
 
+import mpmath  # noqa: E402
+
 from gaussdens import atoms as atoms_module  # noqa: E402
 from gaussdens.atoms import Prog  # noqa: E402
 
@@ -1022,9 +1024,10 @@ def test_an_axis_past_the_float_range_against_a_decimal_reference(s):
 
 @pytest.mark.parametrize("s", [1.5, 1.0 + 2.0 ** -7])
 def test_a_constant_band_past_the_float_range_is_charged_its_columns(s):
-    # a band of columns n = M+1..M+w past the float range is charged its whole
-    # mass: five columns' worth at w = 5, not that of every column from M+1 on.
-    # At w = M its upper cut saturates at 2^62, and every column is charged.
+    # a band of columns n = M+1..M+w past the float range is two product
+    # atoms, column tails from M+1 and M+w+1 summed in logs: five columns'
+    # worth at w = 5, not that of every column from M+1 on.  At w = M its
+    # upper cut is past 2^62 and comes from the exact constant.
     big = 10 ** 400
     with localcontext() as ctx:
         ctx.prec = 50
@@ -1037,6 +1040,37 @@ def test_a_constant_band_past_the_float_range_is_charged_its_columns(s):
         assert abs(Decimal(ev.value) - ref) <= Decimal(ev.tail_bound), width
         if width == 5:
             assert ev.tail_bound <= 1e-6
+
+
+# mpmath references at 30 digits, with no slack: a band of the columns
+# lo..hi has the ratio (zeta(s, lo) - zeta(s, hi + 1)) / zeta(s)
+@pytest.mark.parametrize("lo,hi", [(2, 5), (1, 10 ** 400), (10 ** 400, 10 ** 401)],
+                         ids=["2..5", "1..10^400", "10^400..10^401"])
+@pytest.mark.parametrize("s", [1.5, 1.0 + 2.0 ** -7])
+def test_a_constant_band_against_mpmath(lo, hi, s):
+    with mpmath.workdps(30):
+        ref = (mpmath.zeta(s, lo) - mpmath.zeta(s, hi + 1)) / mpmath.zeta(s)
+        ev = density_at(parse_expression(f"delim(const({lo}),const({hi}))"), s, 1e-9)
+        assert abs(ev.value - ref) <= ev.tail_bound
+
+
+@pytest.mark.parametrize("text", [f"delim(const({2 ** 70}),pow({2 ** 71},1))",
+                                  f"inter(delim(const(1),pow({2 ** 71},1)),upper(1,{2 ** 70}))"],
+                         ids=["constant-side", "quadrant-cut"])
+@pytest.mark.parametrize("s", [1.5, 1.0 + 2.0 ** -7])
+def test_a_lower_cut_past_2_to_the_62_against_mpmath(text, s):
+    # rows u >= 1 with 2^70 <= v <= 2^71 u: past the row kernel's 2^62 cap on
+    # cuts, the atom is charged its whole mass.  The ratio is
+    # (zeta(s) zeta(s, 2^70) - sum_u u^-s zeta(s, 2^71 u + 1)) / zeta(s)^2, and
+    # the sum is 2^(71(1-s)) zeta(2s-1) / (s-1) within a relative 2^-70
+    # (the leading Euler-Maclaurin term of each tail)
+    with mpmath.workdps(30):
+        s_ = mpmath.mpf(s)
+        z = mpmath.zeta(s_)
+        far = mpmath.mpf(2) ** (71 * (1 - s_)) * mpmath.zeta(2 * s_ - 1) / (s_ - 1)
+        ref = (z * mpmath.zeta(s_, 2 ** 70) - far) / z ** 2
+        ev = density_at(parse_expression(text), s, 1e-9)
+        assert abs(ev.value - ref) <= ev.tail_bound
 
 
 @pytest.mark.parametrize("m,n", [(10 ** 308, 3), (2 ** 1020, 1), (2 ** 1030, 1),

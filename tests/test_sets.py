@@ -37,6 +37,7 @@ from gaussdens import (
     predicate,
     row_section,
 )
+from gaussdens.atoms import _atom_contains, compile_set
 from gaussdens.sets import _dominates, grid_mask, int_contains, int_mask
 
 # ---------------------------------------------------------------------------
@@ -336,6 +337,18 @@ def test_membership_realisations_agree(e, m, n):
             assert pred(i, k) is want
             assert rows[k - 1](i) is want
             assert col(k) is want
+
+
+@settings(max_examples=60, deadline=None)
+@given(_exprs)
+def test_compiled_atoms_weigh_each_point_by_its_membership(e):
+    # the signed multiset of atoms is exact on indicator functions, constant
+    # sides compiled as cuts included, under every node _exprs draws
+    atoms = compile_set(e)
+    for m in range(1, 13):
+        for n in range(1, 13):
+            weight = sum(c * _atom_contains(a, m, n) for a, c in atoms.items())
+            assert weight == contains(e, (m, n)), (m, n)
 
 
 @settings(max_examples=60, deadline=None)
