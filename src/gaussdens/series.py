@@ -69,12 +69,13 @@ delimited atom are summed in fixed chunks of ``_CHUNK_ROWS`` (one pairwise
 are evaluated in cache-sized blocks of ``_BLOCK_ROWS`` that write their terms
 into one chunk buffer; every row's term is computed by the same elementwise
 operations whatever block holds it, so the block size never changes a sum.
-A sub-linear power side keeps one integer cut over long runs of rows; its cut
-and inner tail are computed once per run and repeated over the run's rows, so
-no two terms are merged: every row still gets its own product of outer weight
-and inner sum.  Past the table, each Euler-Maclaurin correction of T (the
-x^(-s)/2, s x^(-s-1)/12 and s(s+1)(s+2) x^(-s-3)/720 terms) is evaluated only
-where it can move a bit: a block skips a correction whose largest value there
+A sub-linear power side often keeps one integer cut over a whole block; its
+cut and inner tail are then taken once, from the block's end rows, and stand
+for every row, so no two terms are merged: every row still gets its own
+product of outer weight and inner sum.  Every other block cuts each side row
+by row.  Past the table, each Euler-Maclaurin correction of T (the x^(-s)/2,
+s x^(-s-1)/12 and s(s+1)(s+2) x^(-s-3)/720 terms) is evaluated only where it
+can move a bit: a block skips a correction whose largest value there
 is below 2^-60 of its smallest leading term x^(1-s)/(s-1), which is under half
 an ulp of every row's tail, so the sums are the same bits as with every term.
 Rows ascend and every bound is nondecreasing, so a block's extremes, and the
@@ -428,9 +429,6 @@ _EXP_ZERO = -746.0
 # under half an ulp (2^-54 at least) of the tail it is added to, so the sum
 # rounds to the tail unchanged
 _NEGLIGIBLE = -60.0 * math.log(2.0)
-# a block takes a sub-linear power side once per run of one cut when its runs
-# are at least this many rows long on average
-_RUN_MIN_ROWS = 64
 
 
 def _coef_pow(c: float, log_c: float, p: float) -> float:
@@ -621,72 +619,24 @@ def _cuts(b: BoundFloats, u, logu, lower: bool,
 def _side_rows(b: BoundFloats, u, logu, lower: bool, v_min: int, s: float, an: int,
                bn: int) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """(cut keys, T at the cut, cut-jitter or None) of one side on ascending
-    rows u."""
+    rows u; logu is log(u), or None where the side takes it itself.
+
+    A power side with 0 < alpha < 1 often keeps one cut over a whole block:
+    where its key is the same on the block's first and last rows (so on every
+    row, the keys ascending) and its value stays below the table's end, the
+    key and its table entry are taken once and stand for every row (arrays of
+    length 1).  That is the entry each row would read, so no sum changes.
+    """
+    if b.kind is Power and 0.0 < b.alpha < 1.0:
+        ends = u[[0, -1]]
+        key, vals, logs = _cuts(b, ends, np.log(ends), lower, v_min)
+        if key[0] == key[-1] and vals[-1] < _TABLE:
+            key, vals, logs = key[:1], vals[:1], logs[:1]
+            return key, _tail_at_cut(vals, logs, key, lower, s, an, bn), None
+    if logu is None and b.kind is Power:
+        logu = np.log(u)
     key, vals, logs = _cuts(b, u, logu, lower, v_min)
     return key, _tail_at_cut(vals, logs, key, lower, s, an, bn), _jitter(vals, logs, s, an)
-
-
-def _first_row(b: BoundFloats, u: np.ndarray, lower: bool, v_min: int, level: float) -> float:
-    """The first row of u whose cut key reaches level, which the last row's
-    does and the first row's does not (bisection)."""
-    lo, hi = 0, u.shape[0] - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        x = u[mid:mid + 1]
-        if _cuts(b, x, np.log(x), lower, v_min)[0][0] >= level:
-            hi = mid
-        else:
-            lo = mid
-    return u[hi]
-
-
-def _level_start(b: BoundFloats, level, lower: bool):
-    """Where the cut key of a power side reaches level, by inverting c*u^alpha:
-    ceil(c*u^alpha) >= q once c*u^alpha > q-1, floor(c*u^alpha) >= q once it
-    is >= q."""
-    inv = 1.0 / b.alpha
-    if lower:
-        return np.floor(((level - 1.0) / b.c) ** inv) + 1.0
-    return np.ceil((level / b.c) ** inv)
-
-
-def _side_runs(b: BoundFloats, u: np.ndarray, lower: bool, v_min: int, s: float,
-               an: int, bn: int):
-    """_side_rows of a power side with 0 < alpha < 1 (finite positive c and
-    finite 1/alpha, which the inverse needs), taken once per run of rows that
-    share one cut, or None for any other side, or where its value reaches the
-    table's end or its runs are short.
-
-    The key grows with the row, so the ends of the block fix its levels.  The
-    first row of each later level is found by inverting c*u^alpha and then
-    pinned with the keys themselves: snapping moves a boundary off the exact
-    one, so a guess the keys refute is replaced by bisection.
-    """
-    if not (b.kind is Power and 0.0 < b.alpha < 1.0 and 0.0 < b.c < math.inf
-            and 1.0 / b.alpha < math.inf):
-        return None
-    ends = u[[0, -1]]
-    keys, vals, _ = _cuts(b, ends, np.log(ends), lower, v_min)
-    if vals[-1] >= _TABLE:      # (also where one saturated value stands for both ends)
-        return None
-    k0, k1 = keys
-    if (k1 - k0) * _RUN_MIN_ROWS > u.shape[0]:
-        return None
-    keys = np.arange(k0, k1 + 1.0)      # one per run
-    t = _tail_table(s, an, bn)[np.maximum(keys - 1.0 if lower else keys, 0.0).astype(np.int64)]
-    if keys.shape[0] == 1:
-        return keys, t, None
-    levels = keys[1:]
-    # (guesses kept inside the block, past its first row, for the probe)
-    first = np.minimum(np.maximum(_level_start(b, levels, lower), u[0] + 1.0), u[-1])
-    rows = np.concatenate((first - 1.0, first))
-    probe = _cuts(b, rows, np.log(rows), lower, v_min)[0]
-    n = levels.shape[0]
-    for i in np.flatnonzero((probe[:n] >= levels) | (probe[n:] < levels)):
-        first[i] = _first_row(b, u, lower, v_min, levels[i])
-    # each run's key and tail repeated over its rows
-    lengths = np.diff(first - u[0], prepend=0.0, append=float(u.shape[0])).astype(np.int64)
-    return np.repeat(keys, lengths), np.repeat(t, lengths), None
 
 
 def _row_block(atom: DelimAtom, s: float, u: np.ndarray):
@@ -699,16 +649,11 @@ def _row_block(atom: DelimAtom, s: float, u: np.ndarray):
         w = am * u
         w += bm
         np.power(w, -s, out=w)
-    logu = None
-    rows = []
-    for b, lower in ((atom.lower.floats, True), (atom.upper.floats, False)):
-        side = _side_runs(b, u, lower, atom.v_min, s, an, bn)
-        if side is None:
-            if logu is None and b.kind is Power:
-                logu = np.log(u)
-            side = _side_rows(b, u, logu, lower, atom.v_min, s, an, bn)
-        rows.append(side)
-    (k_lo, t_lo, jit_lo), (k_hi, t_hi, jit_hi) = rows
+    # (two power sides share log u; a lone one takes it where it needs it)
+    lo, hi = atom.lower.floats, atom.upper.floats
+    logu = np.log(u) if lo.kind is Power and hi.kind is Power else None
+    k_lo, t_lo, jit_lo = _side_rows(lo, u, logu, True, atom.v_min, s, an, bn)
+    k_hi, t_hi, jit_hi = _side_rows(hi, u, logu, False, atom.v_min, s, an, bn)
     # inner into a side's own tail where one covers the block
     out = next((t for t in (t_hi, t_lo) if t.shape == u.shape), None)
     inner = np.subtract(t_lo, t_hi, out=out)

@@ -162,6 +162,24 @@ _bands = st.builds(
     ),
 ).filter(lambda band: band is not None)
 
+# far parameters: exponents far from 1, coefficients and bases up to 10^400,
+# a base just above 1, and quadrant cuts up to 10^6 above the band
+_far_coefs = st.one_of(st.integers(1, 4), st.integers(1, 10 ** 400))
+_far_exps = st.sampled_from([Fraction(1, 1000), Fraction(1, 7), Fraction(2 ** 70)])
+_far_bases = st.one_of(st.just(1 + Fraction(1, 10 ** 400)), st.integers(2, 10 ** 400))
+_far_band = st.builds(
+    _delimited,
+    st.tuples(
+        st.one_of(st.builds(Constant, _far_coefs), st.builds(Power, _far_coefs, _far_exps),
+                  st.builds(Exponential, _far_coefs, _far_bases)),
+        st.one_of(st.builds(Power, _far_coefs, _far_exps),
+                  st.builds(Exponential, _far_coefs, _far_bases)),
+    ),
+).filter(lambda band: band is not None)
+_far_bands = st.one_of(_far_band, st.builds(
+    Intersection, _far_band,
+    st.builds(UpperQuadrant, st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))))
+
 _exprs = st.recursive(
     st.one_of(
         st.just(FullQuadrant()),
@@ -604,7 +622,8 @@ def _mutated_texts(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(_exprs.map(to_dsl), _mutated_texts()), st.sampled_from(("table", "csv", "json")))
+@given(st.one_of(_exprs.map(to_dsl), _far_bands.map(to_dsl), _mutated_texts()),
+       st.sampled_from(("table", "csv", "json")))
 def test_cli_fuzz_every_subcommand_exits_with_a_contract_code(text, fmt):
     for command, extra in _FUZZ_FLAGS.items():
         argv = [command, text, "--format", fmt] + extra

@@ -486,7 +486,7 @@ _KERNEL_BANDS = [
     "delim(const(1),exp(2,11/10))",        # underflow starts inside the rows
     "delim(const(2),exp(2,1001/1000))",    # table, 1e15 and saturation inside the rows
     "delim(const(12000),exp(12000,2))",    # a constant side past the table
-    "delim(pow(1,1/3),pow(1,3))",          # lower cut constant over runs of rows
+    "delim(pow(1,1/3),pow(1,3))",          # one lower cut over most of its blocks
     "delim(pow(1,1/4),pow(1,4))",
     "delim(const(1),pow(3,1/2))",          # a fractional upper side
     "delim(pow(7/3,2/5),pow(3,2))",        # a rational coefficient
@@ -615,11 +615,37 @@ def _block_matches_reference(atom, s, u):
     return all(np.array_equal(np.broadcast_to(g, u.shape), x) for g, x in zip(got, want))
 
 
+_SUB_LINEAR_VARIANTS = ["{}", "translate({},3,5)", "inter({},upper(6,4))"]
+
+
+@settings(max_examples=200, deadline=None)
+@example(c=Fraction(1), alpha=Fraction(1, 12), as_lower=True, variant="{}",
+         start=10 ** 9 - 4096, length=4096, s=1.03125)          # inside one cut
+@example(c=Fraction(1), alpha=Fraction(1, 2), as_lower=False, variant="{}",
+         start=10 ** 6 - 100, length=4096, s=1.5)               # across cuts
+@given(c=st.fractions(1, 8, max_denominator=6),
+       alpha=st.fractions(0, 1, max_denominator=12).filter(lambda a: 0 < a < 1),
+       as_lower=st.booleans(), variant=st.sampled_from(_SUB_LINEAR_VARIANTS),
+       start=st.integers(1, 10 ** 9), length=st.integers(1, 4096),
+       s=st.sampled_from([1.5, 1.03125]))
+def test_row_block_matches_the_reference_on_sub_linear_sides(c, alpha, as_lower, variant,
+                                                             start, length, s):
+    # a side c*u^alpha, 0 < alpha < 1: blocks inside one of its cuts take the
+    # cut once, blocks across cuts cut it row by row; both match the reference
+    side = f"pow({c},{alpha})"
+    band = f"delim({side},pow(8,3))" if as_lower else f"delim(const(1),{side})"
+    atom = _delim_atom(variant.format(band))
+    u0 = max(start, atom.u_min)
+    assert _block_matches_reference(atom, s, np.arange(float(u0), float(u0 + length)))
+
+
 @pytest.mark.parametrize("variant", ["{}", "translate({},3,5)", "inter({},upper(6,650))"])
-def test_row_block_where_snapping_moves_a_run_boundary(variant):
+def test_row_block_where_snapping_moves_a_cut_boundary(variant):
     # (630^4 + j)^(1/4) - 630 is about j * 1.0e-9: the lower value snaps back
-    # to 630 one row past 630^4, so the first row of cut 631 lies past the
-    # inverse's guess and the block must find it by bisection
+    # to 630 one row past 630^4, so cut 631 starts a row later than the
+    # unsnapped value says.  Blocks across that row cut the side row by row in
+    # _side_rows and blocks before it keep one cut (every block does under the
+    # cut at 650); each row's key is the snapped one
     atom = _delim_atom(variant.format("delim(pow(1,1/4),pow(1,4))"))
     base = 630.0 ** 4
     row = np.array([base + 1.0])
