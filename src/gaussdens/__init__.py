@@ -54,11 +54,9 @@ from .sets import (
     Union,
     UpperQuadrant,
     ValidationError,
-    col_section,
     contains,
     normalize,
     predicate,
-    row_section,
 )
 
 __version__ = "0.1.0"

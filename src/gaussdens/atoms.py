@@ -25,9 +25,9 @@ rule, the whole product becomes one ``GenAtom`` of the intersection.  When
 any node's merged map, or a product while it is being built, holds more
 than ``ATOM_CAP`` atoms, the whole expression compiles to one ``GenAtom``.
 
-A side constant in m is an integer cut (exact past 2^62, where ``BoundFn``
-saturates): a band between constants lo and hi is every row times the
-columns lo..hi, two product atoms, and a constant lower side is
+A side constant in m is an integer cut, exact at any size (``BoundFn``
+saturates it past 2^62): a band between constants lo and hi is every row
+times the columns lo..hi, two product atoms, and a constant lower side is
 ``Constant(1)`` cut at v >= lo.  No ``DelimAtom`` has a constant upper side.
 
 ``compile_set`` keeps the last expression object it compiled and its map, as
@@ -67,7 +67,6 @@ from .sets import (
     Translate,
     Union,
     UpperQuadrant,
-    _HUGE,
     contains,
     power_form,
 )
@@ -262,13 +261,10 @@ def _compile(e: GaussSetExpr) -> dict:
 
 
 def _constant_cut(b: BoundFn, rounding) -> Optional[int]:
-    """The cut (math.ceil or math.floor) of a side constant in m, as
+    """The exact cut (math.ceil or math.floor) of a side constant in m, as
     membership takes it below 2^62; None for a growing side."""
     form = power_form(b)
-    if form is None or form[1]:
-        return None
-    cut = b._cut(1, rounding)
-    return cut if cut < _HUGE else rounding(form[0])
+    return None if form is None or form[1] else rounding(form[0])
 
 
 # ---------------------------------------------------------------------------

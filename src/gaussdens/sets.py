@@ -15,11 +15,12 @@ Sets are described symbolically:
 Expressions are immutable after construction and every operation here is a
 pure function, so values can be shared freely between threads.
 
-Membership has one per-point procedure, :func:`predicate` (and
-``_int_predicate`` for one-dimensional sets), which compiles an expression
-into a closure.  :func:`contains` and :func:`int_contains` are its validated
-entry points, and row/column sections fix one coordinate of it.
-:func:`grid_mask` decides the same relation vectorised over a box of points.
+Membership has one procedure, :func:`sections` (and ``_int_predicate`` for
+one-dimensional sets), which compiles an expression into its column sections
+A^m = {n : (m, n) in A}: each is EMPTY, ALL or a flat test over n.
+:func:`predicate` is its two-argument view, and :func:`contains` and
+:func:`int_contains` are the validated entry points.  :func:`grid_mask`
+decides the same relation vectorised over a box of points.
 
 Boundary convention: coordinates with m = 0 or n = 0 are outside every set;
 constructors and membership reject them.
@@ -65,8 +66,9 @@ __all__ = [
     "Delimited",
     "contains",
     "predicate",
-    "row_section",
-    "col_section",
+    "sections",
+    "EMPTY",
+    "ALL",
     "normalize",
     "int_contains",
     "int_mask",
@@ -267,21 +269,25 @@ class BoundFn:
     # -- integer cut points -------------------------------------------------
 
     def _cut(self, m: int, rounding: Callable[[float], int]) -> int:
-        """rounding of the value at m, snapped to a near integer, or of the
-        exact value; a value past 2^62 saturates at _HUGE."""
+        """rounding of the exact value at m for integer parameters or a side
+        constant in m, else of the float value snapped to a near integer; a
+        cut past 2^62 saturates at _HUGE."""
         exact = self.exact_int(m)
         if exact is not None:
             return min(exact, _HUGE)
+        form = power_form(self)
+        if form is not None and not form[1]:
+            return min(rounding(form[0]), _HUGE)
         if self.log_value(m) >= _LOG_HUGE:
             return _HUGE
         return rounding(snap_to_int(self.value(m)))
 
     def ceil_at(self, m: int) -> int:
-        """ceil of the (snapped) value: first admissible integer above."""
+        """ceil of the value: first admissible integer above."""
         return self._cut(m, math.ceil)
 
     def floor_at(self, m: int) -> int:
-        """floor of the (snapped) value, saturating at a huge sentinel."""
+        """floor of the value, saturating at a huge sentinel."""
         return self._cut(m, math.floor)
 
 
@@ -624,18 +630,140 @@ class Delimited(GaussSetExpr):
             )
 
 
-def delimited_row_bounds(e: Delimited, m: int) -> tuple[int, int]:
-    """Integer n-range [lo, hi] of row m; empty when lo > hi.
-
-    hi saturates at a huge sentinel when the upper bound overflows the
-    representable range (only its logarithm matters there).
-    """
-    return e.lower.ceil_at(m), e.upper.floor_at(m)
-
-
 # ---------------------------------------------------------------------------
 # Membership
 # ---------------------------------------------------------------------------
+
+# A column section A^m = {n : (m, n) in e} is EMPTY (no n is a member), ALL
+# (every n >= 1 is) or a flat test over n >= 1.
+EMPTY = False
+ALL = True
+
+
+def _complement(a):
+    if a is EMPTY or a is ALL:
+        return not a
+    return lambda n: not a(n)
+
+
+def _union(a, b):
+    if a is ALL or b is EMPTY:
+        return a
+    if b is ALL or a is EMPTY:
+        return b
+    return lambda n: a(n) or b(n)
+
+
+def _meet(a, b):
+    if a is EMPTY or b is ALL:
+        return a
+    if b is EMPTY or a is ALL:
+        return b
+    return lambda n: a(n) and b(n)
+
+
+def _shift(a, n0: int):
+    """The section of a translate by n0 along n."""
+    if a is EMPTY or n0 == 0:
+        return a
+    if a is ALL:
+        return lambda n: n > n0
+    return lambda n: n > n0 and a(n - n0)
+
+
+def _stride(a, b: int):
+    """The section of a dilate by b along n."""
+    if a is EMPTY or b == 1:
+        return a
+    if a is ALL:
+        return lambda n: n % b == 0
+    return lambda n: n % b == 0 and a(n // b)
+
+
+def sections(e: GaussSetExpr) -> Callable[[int], object]:
+    """Compile e into its column sections: a closure m -> A^m.
+
+    This is the one membership procedure.  A section is three-valued:
+    ``EMPTY`` (no n is a member), ``ALL`` (every n >= 1 is a member), or a
+    flat one-argument test over n >= 1.  The structural recursion runs once
+    here; each node then combines its children's sections once per column
+    (a lattice's column is EMPTY off its modulus, a band's is its two cuts,
+    a complement swaps EMPTY and ALL), so the points of one column take one
+    flat call each.  The closure expects m >= 1.
+    """
+    if isinstance(e, Empty):
+        return lambda m: EMPTY
+    if isinstance(e, FullQuadrant):
+        return lambda m: ALL
+    if isinstance(e, FinitePairs):
+        cols: dict[int, set[int]] = {}
+        for m, n in e.pairs:
+            cols.setdefault(m, set()).add(n)
+        tests = {m: frozenset(ns).__contains__ for m, ns in cols.items()}
+        return lambda m: tests.get(m, EMPTY)
+    if isinstance(e, Product):
+        f = _int_predicate(e.h)
+        col = ALL if isinstance(e.v, FullP) else _int_predicate(e.v)
+        return lambda m: col if f(m) else EMPTY
+    if isinstance(e, Lattice):
+        p, q = e.p, e.q
+        col = ALL if q == 1 else (lambda n: n % q == 0)
+        return lambda m: EMPTY if m % p else col
+    if isinstance(e, UpperQuadrant):
+        m0, n0 = e.m0, e.n0
+        col = ALL if n0 == 1 else (lambda n: n >= n0)
+        return lambda m: col if m >= m0 else EMPTY
+    if isinstance(e, Translate):
+        m0, n0 = e.offset
+        f = sections(e.inner)
+        return lambda m: _shift(f(m - m0), n0) if m > m0 else EMPTY
+    if isinstance(e, Dilate):
+        a, b = e.factor
+        f = sections(e.inner)
+        return lambda m: EMPTY if m % a else _stride(f(m // a), b)
+    if isinstance(e, Union):
+        f, g = sections(e.left), sections(e.right)
+        return lambda m: _union(f(m), g(m))
+    if isinstance(e, Intersection):
+        f, g = sections(e.left), sections(e.right)
+        return lambda m: _meet(f(m), g(m))
+    if isinstance(e, Complement):
+        f = sections(e.inner)
+        return lambda m: _complement(f(m))
+    if isinstance(e, Difference):
+        f, g = sections(e.left), sections(e.right)
+        return lambda m: _meet(f(m), _complement(g(m)))
+    if isinstance(e, Delimited):
+        lower, upper = e.lower, e.upper
+
+        def band(m):
+            lo, hi = lower.ceil_at(m), upper.floor_at(m)
+            return EMPTY if lo > hi else (lambda n: lo <= n <= hi)
+
+        return band
+    raise TypeError(f"unknown GaussSetExpr node {e!r}")
+
+
+def predicate(e: GaussSetExpr) -> Callable[[int, int], bool]:
+    """The two-argument view ``(m, n) -> bool`` of :func:`sections`.
+
+    It keeps the section of the last m it was asked about, so a walk that
+    holds m while n varies builds each section once.  The closure expects
+    m, n >= 1, which :func:`contains` checks.
+    """
+    col = sections(e)
+    last = (None, EMPTY)     # replaced whole, so a race costs only a rebuild
+
+    def member(m, n):
+        nonlocal last
+        at, sec = last
+        if at != m:
+            sec = col(m)
+            last = (m, sec)
+        return sec is ALL or (sec is not EMPTY and sec(n))
+
+    return member
+
 
 # The predicate ``contains`` built last: callers test many points of one
 # expression in a row (a period block, the points of a finite atom).  One
@@ -647,7 +775,8 @@ def contains(e: GaussSetExpr, point: tuple[int, int]) -> bool:
     """Membership of one point: the validated entry point to :func:`predicate`.
 
     Total over points with m, n >= 1 and rejects any other point.  Called
-    again with the same expression object, it reuses the predicate it built.
+    again with the same expression object, it reuses the predicate it built,
+    and with it the section of the last m.
     """
     global _last_predicate
     m, n = point
@@ -658,76 +787,6 @@ def contains(e: GaussSetExpr, point: tuple[int, int]) -> bool:
         pred = predicate(e)
         _last_predicate = (e, pred)
     return pred(m, n)
-
-
-def predicate(e: GaussSetExpr) -> Callable[[int, int], bool]:
-    """Compile e into a closure ``(m, n) -> bool`` deciding membership.
-
-    This is the one per-point membership procedure: the structural recursion
-    runs once here, not per point.  The closure expects m, n >= 1, which
-    :func:`contains` checks.
-    """
-    if isinstance(e, Empty):
-        return lambda m, n: False
-    if isinstance(e, FullQuadrant):
-        return lambda m, n: True
-    if isinstance(e, FinitePairs):
-        pts = frozenset(e.pairs)
-        return lambda m, n: (m, n) in pts
-    if isinstance(e, Product):
-        f, g = _int_predicate(e.h), _int_predicate(e.v)
-        return lambda m, n: f(m) and g(n)
-    if isinstance(e, Lattice):
-        p, q = e.p, e.q
-        return lambda m, n: m % p == 0 and n % q == 0
-    if isinstance(e, Translate):
-        m0, n0 = e.offset
-        f = predicate(e.inner)
-        return lambda m, n: m > m0 and n > n0 and f(m - m0, n - n0)
-    if isinstance(e, Dilate):
-        a, b = e.factor
-        f = predicate(e.inner)
-        return lambda m, n: m % a == 0 and n % b == 0 and f(m // a, n // b)
-    if isinstance(e, Union):
-        f, g = predicate(e.left), predicate(e.right)
-        return lambda m, n: f(m, n) or g(m, n)
-    if isinstance(e, Intersection):
-        f, g = predicate(e.left), predicate(e.right)
-        return lambda m, n: f(m, n) and g(m, n)
-    if isinstance(e, Complement):
-        f = predicate(e.inner)
-        return lambda m, n: not f(m, n)
-    if isinstance(e, Difference):
-        f, g = predicate(e.left), predicate(e.right)
-        return lambda m, n: f(m, n) and not g(m, n)
-    if isinstance(e, UpperQuadrant):
-        m0, n0 = e.m0, e.n0
-        return lambda m, n: m >= m0 and n >= n0
-    if isinstance(e, Delimited):
-        bounds_memo: dict[int, tuple[int, int]] = {}
-
-        def delim_pred(m, n):
-            b = bounds_memo.get(m)
-            if b is None:
-                b = bounds_memo[m] = delimited_row_bounds(e, m)
-            return b[0] <= n <= b[1]
-
-        return delim_pred
-    raise TypeError(f"unknown GaussSetExpr node {e!r}")
-
-
-def row_section(e: GaussSetExpr, n: int) -> Callable[[int], bool]:
-    """The row n of e as a predicate over m (the construction A_n)."""
-    _check_positive_int(n, "row index")
-    pred = predicate(e)
-    return lambda m: m >= 1 and pred(m, n)
-
-
-def col_section(e: GaussSetExpr, m: int) -> Callable[[int], bool]:
-    """The column m of e as a predicate over n (the construction A^m)."""
-    _check_positive_int(m, "column index")
-    pred = predicate(e)
-    return lambda n: n >= 1 and pred(m, n)
 
 
 # ---------------------------------------------------------------------------
@@ -871,7 +930,7 @@ def grid_mask(e: GaussSetExpr, m_lo: int, m_hi: int, n_hi: int) -> np.ndarray:
         lo = np.empty(rows, dtype=np.int64)
         hi = np.empty(rows, dtype=np.int64)
         for i, m in enumerate(range(m_lo, m_hi + 1)):
-            lo[i], hi[i] = delimited_row_bounds(e, m)
+            lo[i], hi[i] = e.lower.ceil_at(m), e.upper.floor_at(m)
         hi = np.minimum(hi, n_hi)
         return (ns[None, :] >= lo[:, None]) & (ns[None, :] <= hi[:, None])
     raise TypeError(f"unknown GaussSetExpr node {e!r}")

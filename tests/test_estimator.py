@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gaussdens import (
     Constant,
@@ -23,8 +24,11 @@ from gaussdens import (
     theta_invariance_check,
     zeta_limit_check,
 )
+from gaussdens.atoms import DelimAtom, GenAtom, compile_set
 from gaussdens.estimator import EstimatorConfig, schedule
 from gaussdens.corpus import by_tag
+from test_dsl_cli import _exprs as _dsl_exprs
+from test_sets import _exprs as _set_exprs
 
 NEAR_CFG = EstimatorConfig(s_schedule=schedule(4, 10), per_point_eps=1e-5)
 EXP_CFG = EstimatorConfig(s_schedule=schedule(7, 13), per_point_eps=1e-4)
@@ -249,3 +253,33 @@ def test_axis_independence_value():
     e = Translate(Product(Multiples(2), Multiples(3)), (4, 4))
     rep = estimate_density(e)
     assert rep.extrapolated == pytest.approx(1.0 / 6.0, abs=_tolerance(rep))
+
+
+# ---------------------------------------------------------------------------
+# the two engines on drawn expressions
+# ---------------------------------------------------------------------------
+
+AGREE_CFG = EstimatorConfig(s_schedule=schedule(12, 18), per_point_eps=1e-9)
+
+
+def _series_atoms_only(e):
+    """No generic atom and no exponential side: every atom has a series the
+    estimate takes to 1e-9 at s near 1."""
+    return not any(isinstance(a, GenAtom)
+                   or isinstance(a, DelimAtom) and Exponential in (type(a.lower), type(a.upper))
+                   for a in compile_set(e))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_set_exprs, _dsl_exprs))
+def test_the_estimate_agrees_with_exact_on_drawn_expressions(e):
+    exact = exact_density(e)
+    if exact.is_known and not _series_atoms_only(e):
+        return
+    report = estimate_density(e, AGREE_CFG)
+    if exact.is_known:
+        assert report.converged
+        assert abs(report.extrapolated - exact.as_float()) <= 1e-9
+    else:
+        # an unknown limit is never passed off as a converged estimate
+        assert not report.converged

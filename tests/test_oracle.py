@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gaussdens import (
     Constant,
@@ -20,11 +21,34 @@ from gaussdens import (
 )
 from gaussdens.corpus import by_tag
 from gaussdens.sets import grid_mask
+from test_dsl_cli import _exprs as _dsl_exprs
+from test_sets import _exprs as _set_exprs
 
 
 def test_brute_examples():
     assert brute_partial_sum(FullQuadrant(), 2.0, 2) == pytest.approx(1.5625, rel=1e-15)
     assert brute_partial_sum(Lattice(2, 2), 2.0, 4) == pytest.approx(25.0 / 256.0, rel=1e-15)
+
+
+def _per_point_partial_sum(e, s, N):
+    # the brute oracle's sum taken point by point through contains, in the
+    # same order: every column, empty ones too, with one call per point
+    total = 0.0
+    neg_s = -s
+    for m in range(1, N + 1):
+        row = 0.0
+        for n in range(1, N + 1):
+            if contains(e, (m, n)):
+                row += float(m * n) ** neg_s
+        total += row
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_set_exprs, _dsl_exprs), st.sampled_from([1.5, 2.0, 1.0078125]),
+       st.integers(1, 40))
+def test_column_sections_keep_every_bit_of_the_per_point_sum(e, s, N):
+    assert brute_partial_sum(e, s, N).hex() == _per_point_partial_sum(e, s, N).hex()
 
 
 def test_brute_scale_guard():

@@ -408,7 +408,7 @@ def test_exponential_rows_match_direct_summation():
 from gaussdens import series  # noqa: E402
 from gaussdens.atoms import compile_set  # noqa: E402
 from gaussdens.dsl import parse_expression  # noqa: E402
-from gaussdens.sets import _HUGE, _LOG_HUGE  # noqa: E402
+from gaussdens.sets import _HUGE, _LOG_HUGE, grid_mask  # noqa: E402
 
 
 def _reference_bound_floats(b, u):
@@ -1077,6 +1077,24 @@ def test_a_constant_band_against_mpmath(lo, hi, s):
     with mpmath.workdps(30):
         ref = (mpmath.zeta(s, lo) - mpmath.zeta(s, hi + 1)) / mpmath.zeta(s)
         ev = density_at(parse_expression(f"delim(const({lo}),const({hi}))"), s, 1e-9)
+        assert abs(ev.value - ref) <= ev.tail_bound
+
+
+# a constant side a hair off an integer is cut at its exact ceil or floor,
+# not snapped onto the integer
+@pytest.mark.parametrize("text,lo,hi", [
+    ("delim(const(3.0000000001),const(2000000000))", 4, 2 * 10 ** 9),
+    ("delim(pow(3.0000000001,0),const(2000000000))", 4, 2 * 10 ** 9),
+    ("delim(const(2),const(6.9999999999))", 2, 6),
+], ids=["const-lower", "pow-0-lower", "const-upper"])
+@pytest.mark.parametrize("s", [1.5, 1.0 + 2.0 ** -7])
+def test_a_constant_side_near_an_integer_against_mpmath(text, lo, hi, s):
+    e = parse_expression(text)
+    assert [contains(e, (1, n)) for n in (lo - 1, lo, hi, hi + 1)] == [False, True, True, False]
+    assert grid_mask(e, 1, 1, 8)[0].tolist() == [lo <= n <= hi for n in range(1, 9)]
+    with mpmath.workdps(30):
+        ref = (mpmath.zeta(s, lo) - mpmath.zeta(s, hi + 1)) / mpmath.zeta(s)
+        ev = density_at(e, s, 1e-9)
         assert abs(ev.value - ref) <= ev.tail_bound
 
 

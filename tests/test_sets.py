@@ -1,6 +1,9 @@
 """Set-expression semantics: membership, sections, normalisation."""
 
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -31,14 +34,21 @@ from gaussdens import (
     Union,
     UpperQuadrant,
     ValidationError,
-    col_section,
     contains,
     normalize,
     predicate,
-    row_section,
 )
 from gaussdens.atoms import _atom_contains, compile_set
-from gaussdens.sets import _dominates, grid_mask, int_contains, int_mask
+from gaussdens.sets import (
+    ALL,
+    EMPTY,
+    _check_positive_int,
+    _dominates,
+    grid_mask,
+    int_contains,
+    int_mask,
+    sections,
+)
 
 # ---------------------------------------------------------------------------
 # membership examples
@@ -91,6 +101,20 @@ def test_exponential_membership_huge_rows():
 # ---------------------------------------------------------------------------
 # sections
 # ---------------------------------------------------------------------------
+
+
+def row_section(e, n):
+    """The row n of e as a predicate over m (the construction A_n)."""
+    _check_positive_int(n, "row index")
+    pred = predicate(e)
+    return lambda m: m >= 1 and pred(m, n)
+
+
+def col_section(e, m):
+    """The column m of e as a predicate over n (the construction A^m)."""
+    _check_positive_int(m, "column index")
+    pred = predicate(e)
+    return lambda n: n >= 1 and pred(m, n)
 
 
 def test_row_section_of_lattice_is_multiples():
@@ -329,8 +353,16 @@ def test_membership_realisations_agree(e, m, n):
     box = grid_mask(e, 1, 24, 24)
     pred = predicate(e)
     rows = [row_section(e, k) for k in range(1, 25)]
+    secs = sections(e)
     for i in range(1, 25):
         col = col_section(e, i)
+        # a column compiled to EMPTY has no member, one compiled to ALL has
+        # every member, in the independent vectorised realisation too
+        sec = secs(i)
+        if sec is EMPTY:
+            assert not box[i - 1].any()
+        elif sec is ALL:
+            assert box[i - 1].all()
         for k in range(1, 25):
             want = bool(box[i - 1, k - 1])
             assert contains(e, (i, k)) is want
@@ -385,6 +417,30 @@ def test_grid_mask_modulus_above_int64():
     huge = Product(FiniteSet((2, 10 ** 20)), IntComplement(Multiples(10 ** 20)))
     mask = grid_mask(huge, 1, 5, 5)
     assert mask[1].all() and mask.sum() == 5
+
+
+def test_contains_keeps_each_column_under_threads():
+    # contains keeps the section of the last m it was asked about; threads
+    # that walk one expression with m changing at every call share that memo,
+    # so a section torn from its m would show as a wrong member
+    e = Union(Difference(Lattice(2, 3), FinitePairs(((2, 3),))),
+              Translate(Delimited(Constant(2), Power(2, 1)), (1, 2)))
+    box = grid_mask(e, 1, 30, 30)
+    points = [(m, n) for n in range(1, 31) for m in range(1, 31)] * 20
+    start = threading.Barrier(8)
+
+    def walk():
+        start.wait(timeout=10)
+        return sum(contains(e, (m, n)) is not bool(box[m - 1, n - 1]) for m, n in points)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            futures = [pool.submit(walk) for _ in range(8)]
+            assert [f.result(timeout=60) for f in futures] == [0] * 8
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_finite_pairs_cap():
