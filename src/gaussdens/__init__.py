@@ -24,7 +24,6 @@ from .series import (
     SeriesEval,
     density_at,
     partial_double_sum,
-    range_sum,
     zeta,
 )
 from .sets import (

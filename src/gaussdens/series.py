@@ -29,7 +29,11 @@ Atom kinds:
   error budget (see below).
 * finite atoms: summed directly.
 * generic atoms (anything the compiler cannot reduce): truncated to the box
-  [1, N]^2 and charged the documented generic tail bound.
+  [1, N]^2 and charged the documented generic tail bound.  The box is summed
+  in fixed-size blocks of rows (``_BOX_CELLS`` cells, one float buffer per
+  call); a row with no member is skipped, since it would add exactly 0.0, and
+  every other row is one pairwise ``np.sum`` over its full length, so the sum
+  is the same bits at any block size.
 
 Tail bounds
 -----------
@@ -143,7 +147,6 @@ from .sets import (
 __all__ = [
     "SeriesEval",
     "zeta",
-    "range_sum",
     "partial_double_sum",
     "density_at",
     "DEFAULT_TERM_BUDGET",
@@ -152,8 +155,8 @@ __all__ = [
 DEFAULT_TERM_BUDGET = 10 ** 8
 _EM_MIN = 64.0          # smallest argument for the Euler-Maclaurin tail
 _TABLE = 10_000         # inner tails up to this cut point are tabulated exactly
-_DIRECT_SPAN = 10_000   # range_sum switches to EM differences past this span
-_GENERIC_HARD_CAP = 20_000    # generic box side cap (memory/time)
+_GENERIC_HARD_CAP = 20_000    # generic box side cap: it caps time (memory is one block)
+_BOX_CELLS = 1 << 20        # cells per block of the generic box (8 MiB of floats)
 _CHUNK_ROWS = 1_000_000     # direct rows per np.sum; fixes the summation order
 _BLOCK_ROWS = 16_384        # rows evaluated together inside a chunk (L2-sized)
 
@@ -250,31 +253,6 @@ def _tail_int(k: int, s: float, an: int = 1, bn: int = 0) -> float:
     if k <= _TABLE:
         return float(_tail_table(s, an, bn)[k])
     return an ** (-s) * float(_em_tail(k + 1 + bn / an, s))
-
-
-def range_sum(a: int, b: int, s: float) -> float:
-    """sum_{n=a}^{b} n^(-s); direct for short spans, EM differences otherwise."""
-    if not s > 1.0:
-        raise ValueError(f"range_sum requires s > 1, got {s}")
-    if not (1 <= a <= b):
-        raise ValueError(f"range_sum requires 1 <= a <= b, got {a}, {b}")
-    if b - a <= _DIRECT_SPAN:
-        n = np.arange(float(a), float(b) + 1.0)
-        return float(math.fsum((n ** -s).tolist()))
-    if a < _EM_MIN:
-        head_end = int(_EM_MIN) - 1
-        n = np.arange(float(a), head_end + 1.0)
-        return float(math.fsum((n ** -s).tolist())) + range_sum(int(_EM_MIN), b, s)
-    # tail(a) - tail(b+1), differenced term by term to dodge cancellation
-    c = float(b + 1)
-    af = float(a)
-    ratio_log = math.log1p((c - af) / af)  # log(c/a)
-    lead = af ** (1.0 - s) * (-math.expm1((1.0 - s) * ratio_log)) / (s - 1.0)
-    half = 0.5 * af ** -s * (-math.expm1(-s * ratio_log))
-    d1 = (s / 12.0) * af ** (-s - 1.0) * (-math.expm1((-s - 1.0) * ratio_log))
-    d3 = -(_rising(s, 3) / 720.0) * (af ** (-s - 3.0) - c ** (-s - 3.0))
-    d5 = (_rising(s, 5) / 30240.0) * (af ** (-s - 5.0) - c ** (-s - 5.0))
-    return lead + half + d1 + d3 + d5
 
 
 # ---------------------------------------------------------------------------
@@ -905,23 +883,32 @@ def _eval_atom(a, s: float, eps_abs: float, budget: int, term_budget: int):
 def partial_double_sum(e: GaussSetExpr, s: float, N: int) -> float:
     """sum over (m,n) in e with m,n <= N of (mn)^(-s).
 
-    Rows ascending, columns ascending; each row is reduced pairwise and the
-    row results are combined with an exact compensated sum, so the value is
-    deterministic and independent of chunking or worker count.
+    Rows ascending, columns ascending.  The box is built in blocks of about
+    ``_BOX_CELLS`` cells in one float buffer: a row's terms are n^(-s) times
+    its membership, times m^(-s).  Each row with a member is reduced pairwise
+    by one ``np.sum`` over its full length N; a row with none would sum to
+    exactly 0.0 and is skipped.  The row results are combined with an exact
+    compensated sum, so the value is the same bits at any block size or
+    worker count.
     """
     if not s > 1.0:
         raise ValueError(f"partial_double_sum requires s > 1, got {s}")
     if N < 1:
         raise ValueError(f"partial_double_sum requires N >= 1, got {N}")
-    n = np.arange(1.0, N + 1.0)
-    npow = n ** -s
-    chunk = max(1, min(4096, 4_000_000 // max(N, 1)))
+    npow = np.arange(1.0, N + 1.0) ** -s
+    block = min(max(1, _BOX_CELLS // N), N)
+    buf = np.empty((block, N))
     row_sums: list[float] = []
-    for lo in range(1, N + 1, chunk):
-        hi = min(lo + chunk - 1, N)
-        mask = grid_mask(e, lo, hi, N)
-        m = np.arange(float(lo), float(hi) + 1.0)
-        rows = (m ** -s)[:, None] * np.where(mask, npow[None, :], 0.0)
+    for lo in range(1, N + 1, block):
+        mask = grid_mask(e, lo, min(lo + block - 1, N), N)
+        live = np.flatnonzero(mask.any(axis=1))
+        if live.size == 0:
+            continue
+        if live.size < len(mask):
+            mask = mask[live]
+        rows = buf[:live.size]
+        np.multiply(npow, mask, out=rows)
+        rows *= ((live + float(lo)) ** -s)[:, None]
         row_sums.extend(np.sum(rows, axis=1).tolist())
     return float(math.fsum(row_sums))
 

@@ -868,6 +868,14 @@ def normalize(e: GaussSetExpr) -> GaussSetExpr:
 # Vectorised membership over a rectangle
 # ---------------------------------------------------------------------------
 
+def _outer_mask(row_in: np.ndarray, col_in: np.ndarray) -> np.ndarray:
+    """The product set of two axis masks: the column mask broadcast into
+    each member row (a row copy, where ``np.outer`` multiplies every cell)."""
+    out = np.zeros((len(row_in), len(col_in)), dtype=bool)
+    out[row_in] = col_in
+    return out
+
+
 def grid_mask(e: GaussSetExpr, m_lo: int, m_hi: int, n_hi: int) -> np.ndarray:
     """Boolean membership over rows m_lo..m_hi and columns 1..n_hi.
 
@@ -891,19 +899,25 @@ def grid_mask(e: GaussSetExpr, m_lo: int, m_hi: int, n_hi: int) -> np.ndarray:
                 out[m - m_lo, n - 1] = True
         return out
     if isinstance(e, Product):
-        return np.outer(int_mask(e.h, ms), int_mask(e.v, ns))
+        return _outer_mask(int_mask(e.h, ms), int_mask(e.v, ns))
     if isinstance(e, Lattice):
-        return np.outer(_multiples_mask(ms, e.p), _multiples_mask(ns, e.q))
+        return _outer_mask(_multiples_mask(ms, e.p), _multiples_mask(ns, e.q))
     if isinstance(e, UpperQuadrant):
-        return np.outer(ms >= e.m0, ns >= e.n0)
-    if isinstance(e, Union):
-        return grid_mask(e.left, m_lo, m_hi, n_hi) | grid_mask(e.right, m_lo, m_hi, n_hi)
-    if isinstance(e, Intersection):
-        return grid_mask(e.left, m_lo, m_hi, n_hi) & grid_mask(e.right, m_lo, m_hi, n_hi)
+        return _outer_mask(ms >= e.m0, ns >= e.n0)
+    # every branch returns a fresh array, so the set operations work in place
     if isinstance(e, Complement):
-        return ~grid_mask(e.inner, m_lo, m_hi, n_hi)
-    if isinstance(e, Difference):
-        return grid_mask(e.left, m_lo, m_hi, n_hi) & ~grid_mask(e.right, m_lo, m_hi, n_hi)
+        out = grid_mask(e.inner, m_lo, m_hi, n_hi)
+        return np.logical_not(out, out=out)
+    if isinstance(e, (Union, Intersection, Difference)):
+        out = grid_mask(e.left, m_lo, m_hi, n_hi)
+        right = grid_mask(e.right, m_lo, m_hi, n_hi)
+        if isinstance(e, Union):
+            out |= right
+        elif isinstance(e, Intersection):
+            out &= right
+        else:
+            out &= np.logical_not(right, out=right)
+        return out
     if isinstance(e, Translate):
         m0, n0 = e.offset
         out = np.zeros((rows, n_hi), dtype=bool)
@@ -927,10 +941,11 @@ def grid_mask(e: GaussSetExpr, m_lo: int, m_hi: int, n_hi: int) -> np.ndarray:
             out[np.ix_(row_idx, col_idx)] = inner
         return out
     if isinstance(e, Delimited):
-        lo = np.empty(rows, dtype=np.int64)
-        hi = np.empty(rows, dtype=np.int64)
+        out = np.zeros((rows, n_hi), dtype=bool)
         for i, m in enumerate(range(m_lo, m_hi + 1)):
-            lo[i], hi[i] = e.lower.ceil_at(m), e.upper.floor_at(m)
-        hi = np.minimum(hi, n_hi)
-        return (ns[None, :] >= lo[:, None]) & (ns[None, :] <= hi[:, None])
+            lo = max(e.lower.ceil_at(m), 1)
+            hi = min(e.upper.floor_at(m), n_hi)
+            if lo <= hi:
+                out[i, lo - 1:hi] = True
+        return out
     raise TypeError(f"unknown GaussSetExpr node {e!r}")

@@ -25,10 +25,10 @@ from gaussdens import (
     contains,
     density_at,
     partial_double_sum,
-    range_sum,
     zeta,
 )
 from gaussdens.corpus import CORPUS, by_tag
+from gaussdens.series import _EM_MIN, _rising
 
 # ---------------------------------------------------------------------------
 # zeta
@@ -84,6 +84,34 @@ def test_zeta_near_one_blowup():
 # ---------------------------------------------------------------------------
 # range_sum
 # ---------------------------------------------------------------------------
+
+# A one-dimensional reference that the engine itself does not use.
+_DIRECT_SPAN = 10_000   # range_sum switches to EM differences past this span
+
+
+def range_sum(a: int, b: int, s: float) -> float:
+    """sum_{n=a}^{b} n^(-s); direct for short spans, EM differences otherwise."""
+    if not s > 1.0:
+        raise ValueError(f"range_sum requires s > 1, got {s}")
+    if not (1 <= a <= b):
+        raise ValueError(f"range_sum requires 1 <= a <= b, got {a}, {b}")
+    if b - a <= _DIRECT_SPAN:
+        n = np.arange(float(a), float(b) + 1.0)
+        return float(math.fsum((n ** -s).tolist()))
+    if a < _EM_MIN:
+        head_end = int(_EM_MIN) - 1
+        n = np.arange(float(a), head_end + 1.0)
+        return float(math.fsum((n ** -s).tolist())) + range_sum(int(_EM_MIN), b, s)
+    # tail(a) - tail(b+1), differenced term by term to dodge cancellation
+    c = float(b + 1)
+    af = float(a)
+    ratio_log = math.log1p((c - af) / af)  # log(c/a)
+    lead = af ** (1.0 - s) * (-math.expm1((1.0 - s) * ratio_log)) / (s - 1.0)
+    half = 0.5 * af ** -s * (-math.expm1(-s * ratio_log))
+    d1 = (s / 12.0) * af ** (-s - 1.0) * (-math.expm1((-s - 1.0) * ratio_log))
+    d3 = -(_rising(s, 3) / 720.0) * (af ** (-s - 3.0) - c ** (-s - 3.0))
+    d5 = (_rising(s, 5) / 30240.0) * (af ** (-s - 5.0) - c ** (-s - 5.0))
+    return lead + half + d1 + d3 + d5
 
 
 def test_range_sum_small():
@@ -1152,3 +1180,74 @@ def test_a_band_dilated_toward_the_float_range_has_a_true_bound(form, exp10):
         scale = Decimal(10) ** (-exp10 * Decimal(s))
         gap = abs(Decimal(ev.value) - scale * Decimal(base.value))
         assert gap <= Decimal(ev.tail_bound) + scale * Decimal(base.tail_bound)
+
+
+# ---------------------------------------------------------------------------
+# the generic box
+# ---------------------------------------------------------------------------
+
+import tracemalloc  # noqa: E402
+
+from test_dsl_cli import _exprs as _dsl_exprs  # noqa: E402
+
+_GENERIC = ("inter(delim(pow(1,1/2),pow(1,2)),lattice(2,2))",
+            "inter(delim(const(1),pow(1,2)),delim(pow(1,1/2),pow(1,3)))")
+
+
+def _whole_chunk_box_sum(e, s, N):
+    """The box sum with every row of a 4M-cell chunk in one np.where copy of
+    the masked column powers: the reference of the blocked sum."""
+    n = np.arange(1.0, N + 1.0)
+    npow = n ** -s
+    chunk = max(1, min(4096, 4_000_000 // max(N, 1)))
+    row_sums = []
+    for lo in range(1, N + 1, chunk):
+        hi = min(lo + chunk - 1, N)
+        mask = grid_mask(e, lo, hi, N)
+        m = np.arange(float(lo), float(hi) + 1.0)
+        rows = (m ** -s)[:, None] * np.where(mask, npow[None, :], 0.0)
+        row_sums.extend(np.sum(rows, axis=1).tolist())
+    return float(math.fsum(row_sums))
+
+
+@settings(max_examples=120, deadline=None)
+@example(e=parse_expression(_GENERIC[0]), s=1.25, N=2000, cells=series._BOX_CELLS)
+@example(e=parse_expression(_GENERIC[1]), s=1.25, N=2000, cells=series._BOX_CELLS)
+@given(e=st.one_of(_exprs, _dsl_exprs), s=st.sampled_from([1.5, 2.0, 1.0078125]),
+       N=st.integers(1, 600),
+       cells=st.one_of(st.just(series._BOX_CELLS), st.integers(1, 40_000)))
+def test_the_blocked_box_sum_keeps_every_bit(e, s, N, cells):
+    # any block size: each row is still one np.sum over its full length, and
+    # a row with no member adds exactly 0.0
+    want = _whole_chunk_box_sum(e, s, N)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series, "_BOX_CELLS", cells)
+        assert partial_double_sum(e, s, N).hex() == want.hex()
+
+
+def test_the_box_sum_holds_one_block_in_memory():
+    e = parse_expression(_GENERIC[0])
+    tracemalloc.start()
+    try:
+        partial_double_sum(e, 1.5, 4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2 ** 20
+
+
+@pytest.mark.parametrize("s", [2.0, 1.5, 1.25])
+def test_a_dense_generic_atom_against_mpmath(s):
+    # off the diagonal and off the lattice M_(1000,1000): the series is
+    # zeta(s)^2 - zeta(2s) - c zeta(s)^2 + c zeta(2s) with c = 1000^(-2s).  The
+    # box value misses it by nearly the whole generic bound, so this is where
+    # the bound is tight
+    e = parse_expression("inter(compl(delim(pow(1,1),pow(1,1))),compl(lattice(1000,1000)))")
+    ev = density_at(e, s, 1e-6)
+    assert ev.method == "direct"
+    with mpmath.workdps(30):
+        s_ = mpmath.mpf(s)
+        q = mpmath.zeta(2 * s_) / mpmath.zeta(s_) ** 2
+        c = mpmath.mpf(1000) ** (-2 * s_)
+        ref = 1 - q - c + c * q
+        assert abs(ev.value - ref) <= ev.tail_bound
