@@ -15,8 +15,6 @@ from .estimator import (
     EstimatorConfig,
     estimate_density,
     schedule,
-    theta_invariance_check,
-    zeta_limit_check,
 )
 from .exact import DensityValue, axis_section_finite, exact_density, exact_density_1d
 from .oracle import CountReport, brute_partial_sum, counting_density

@@ -118,14 +118,19 @@ _FLAGS = (
 
 
 def _config(args) -> EstimatorConfig:
+    """The estimator settings of an estimate or compare.  Each field comes from
+    a flag, so a combination they reject is a usage error."""
     k0, k1 = args.schedule
-    return EstimatorConfig(
-        s_schedule=schedule(k0, k1),
-        per_point_eps=args.eps,
-        fit_degree=args.degree,
-        term_budget=args.budget,
-        workers=args.workers,
-    )
+    try:
+        return EstimatorConfig(
+            s_schedule=schedule(k0, k1),
+            per_point_eps=args.eps,
+            fit_degree=args.degree,
+            term_budget=args.budget,
+            workers=args.workers,
+        )
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
 
 
 def _emit(text: str, out: Optional[str]) -> None:

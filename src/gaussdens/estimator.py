@@ -26,17 +26,14 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .exact import DensityValue
-from .sets import BoundFn, Constant, Delimited, GaussSetExpr
-from .series import DEFAULT_TERM_BUDGET, SeriesEval, density_at, zeta
+from .sets import GaussSetExpr
+from .series import DEFAULT_TERM_BUDGET, SeriesEval, density_at
 
 __all__ = [
     "EstimatorConfig",
     "EstimateReport",
-    "ThetaReport",
     "schedule",
     "estimate_density",
-    "zeta_limit_check",
-    "theta_invariance_check",
 ]
 
 
@@ -184,59 +181,3 @@ def estimate_density(
         budget_limited=budget_limited,
         exact_reference=exact_reference,
     )
-
-
-def zeta_limit_check(alpha: float, s_schedule: Sequence[float]) -> list[tuple[float, float]]:
-    """zeta((alpha+1)s - alpha) * (s-1) along the schedule.
-
-    As s decreases to 1 the values approach 1/(1+alpha).
-    """
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    out = []
-    for s in s_schedule:
-        if not s > 1.0:
-            raise ValueError(f"schedule values must be > 1, got {s}")
-        t = 1.0 + (alpha + 1.0) * (s - 1.0)
-        out.append((float(s), zeta(t) * (s - 1.0)))
-    return out
-
-
-@dataclass(frozen=True)
-class ThetaReport:
-    """Coefficient-invariance check for delimited sets.
-
-    The limit density only sees the growth class of the bounds, not their
-    constants; the pre-limit values legitimately differ, so agreement is
-    asserted on the extrapolated values within the combined tolerance.
-    """
-
-    report_low: EstimateReport
-    report_high: EstimateReport
-    delta: float
-    tolerance: float
-
-    @property
-    def agree(self) -> bool:
-        return self.delta <= self.tolerance
-
-
-def _estimate_tolerance(report: EstimateReport, floor: float = 5e-3) -> float:
-    return max(floor, 3.0 * report.fit_residual)
-
-
-def theta_invariance_check(
-    upper_shape: BoundFn,
-    c1,
-    c2,
-    cfg: EstimatorConfig = EstimatorConfig(),
-    lower: BoundFn = Constant(1),
-) -> ThetaReport:
-    """Estimate the delimited sets built from c1/c2 times the upper shape."""
-    lo = Delimited(lower, upper_shape.with_coefficient(c1))
-    hi = Delimited(lower, upper_shape.with_coefficient(c2))
-    rep1 = estimate_density(lo, cfg)
-    rep2 = estimate_density(hi, cfg)
-    delta = abs(rep1.extrapolated - rep2.extrapolated)
-    tol = _estimate_tolerance(rep1) + _estimate_tolerance(rep2)
-    return ThetaReport(rep1, rep2, delta, tol)

@@ -10,7 +10,10 @@ Sets are described symbolically:
   translation, dilation, and delimitation between two bound functions.
 * ``BoundFn`` is a concrete delimiting function: a constant, c*m^alpha,
   or c*a^m.  A delimited set collects the points with
-  ``lower(m) <= n <= upper(m)``.
+  ``lower(m) <= n <= upper(m)``, so its column section at m is
+  [ceil lower(m), floor upper(m)].  A bound holds its exact rational
+  parameters and, taken once, their float view ``floats``; one cut
+  procedure (``ceil_at`` and ``floor_at``) reads both.
 
 Expressions are immutable after construction and every operation here is a
 pure function, so values can be shared freely between threads.
@@ -73,7 +76,6 @@ __all__ = [
     "int_contains",
     "int_mask",
     "grid_mask",
-    "snap_to_int",
 ]
 
 INT_SNAP = 1e-9            # floats this close to an integer are snapped before rounding
@@ -101,14 +103,6 @@ def _as_fraction(x: NumberLike, what: str) -> Fraction:
     except (TypeError, ValueError, ZeroDivisionError):
         pass
     raise ValidationError(f"{what} must be a rational number, got {x!r}")
-
-
-def snap_to_int(x: float) -> float:
-    """Snap values within INT_SNAP of an integer before ceil/floor rounding."""
-    r = round(x)
-    if abs(x - r) <= INT_SNAP:
-        return float(r)
-    return x
 
 
 def _check_positive_int(value, what: str, minimum: int = 1) -> int:
@@ -235,14 +229,14 @@ class BoundFloats(NamedTuple):
     Past the float range c is inf or 0.0 and base is inf, while log_c and
     alpha still hold the logarithms.  A power exponent past 2^62 (past the
     float range, even) is taken as 2^62: every row past the first saturates
-    either way, as exact_int saturates an integer power.
+    either way, as the exact cut saturates an integer power.
     """
 
     kind: type
     c: float
     log_c: float
     alpha: float    # the exponent of a power, log(base) of an exponential
-    exact: bool     # integer parameters: exact_int gives the exact value
+    exact: Optional[tuple[int, int]]    # (c, exponent or base) when both are integers
     base: float     # the base of an Exponential, else 0
 
 
@@ -253,42 +247,59 @@ class BoundFn:
 
     __slots__ = ()
 
-    def value(self, m: int) -> float:
-        raise NotImplementedError
-
-    def log_value(self, m: int) -> float:
-        raise NotImplementedError
-
-    def exact_int(self, m: int) -> Optional[int]:
-        """Exact integer value when the parameters make one available."""
-        return None
-
-    def with_coefficient(self, c: NumberLike) -> "BoundFn":
-        raise NotImplementedError
-
-    # -- integer cut points -------------------------------------------------
-
-    def _cut(self, m: int, rounding: Callable[[float], int]) -> int:
-        """rounding of the exact value at m for integer parameters or a side
-        constant in m, else of the float value snapped to a near integer; a
-        cut past 2^62 saturates at _HUGE."""
-        exact = self.exact_int(m)
-        if exact is not None:
-            return min(exact, _HUGE)
+    @cached_property
+    def _level(self) -> Optional[tuple[int, int]]:
+        """(ceil, floor) of a side constant in m, capped at 2^62; None for a
+        side that grows."""
         form = power_form(self)
-        if form is not None and not form[1]:
-            return min(rounding(form[0]), _HUGE)
-        if self.log_value(m) >= _LOG_HUGE:
-            return _HUGE
-        return rounding(snap_to_int(self.value(m)))
+        if form is None or form[1]:
+            return None
+        return min(math.ceil(form[0]), _HUGE), min(math.floor(form[0]), _HUGE)
+
+    def _cut(self, m: int, up: bool) -> int:
+        """The ceil (up) or floor of the value at m, saturating at 2^62.  It is
+        exact for a side constant in m or integer parameters; otherwise the
+        float value is rounded, after moving onto an integer within INT_SNAP."""
+        level = self._level
+        if level is not None:
+            return level[0] if up else level[1]
+        f = self.floats
+        if f.kind is Power:
+            if f.exact:
+                c, a = f.exact
+                # an int compared with a float never overflows; row 1 is c for any a
+                if m > 1 and a >= _LOG_HUGE / math.log(m):
+                    return _HUGE
+                return min(c * m ** a, _HUGE)
+            if f.log_c + f.alpha * math.log(m) >= _LOG_HUGE:
+                return _HUGE
+            try:
+                v = f.c * float(m) ** f.alpha
+            except OverflowError:
+                v = math.inf
+        else:
+            log_v = f.log_c + m * f.alpha
+            if log_v >= _LOG_HUGE:
+                return _HUGE
+            if f.exact:
+                c, a = f.exact
+                return min(c * a ** m, _HUGE)
+            if 0.0 < f.c < math.inf and f.base < math.inf:
+                v = f.c * f.base ** m
+            else:
+                v = math.exp(log_v)     # c or the base is past the float range
+        r = round(v)
+        if abs(v - r) <= INT_SNAP:
+            return r
+        return math.ceil(v) if up else math.floor(v)
 
     def ceil_at(self, m: int) -> int:
         """ceil of the value: first admissible integer above."""
-        return self._cut(m, math.ceil)
+        return self._cut(m, True)
 
     def floor_at(self, m: int) -> int:
         """floor of the value, saturating at a huge sentinel."""
-        return self._cut(m, math.floor)
+        return self._cut(m, False)
 
 
 def _coef(q: Fraction) -> tuple[float, float]:
@@ -303,8 +314,9 @@ def _coef(q: Fraction) -> tuple[float, float]:
     return f, math.log(q.numerator) - math.log(q.denominator)
 
 
-def _frac_is_int(x: Fraction) -> bool:
-    return x.denominator == 1
+def _ints(c: Fraction, p: int | Fraction) -> Optional[tuple[int, int]]:
+    """(c, p) as integers when both are, else None."""
+    return (c.numerator, p.numerator) if c.denominator == p.denominator == 1 else None
 
 
 @dataclass(frozen=True)
@@ -318,19 +330,7 @@ class Constant(BoundFn):
 
     @cached_property
     def floats(self) -> BoundFloats:
-        return BoundFloats(Constant, *_coef(self.k), 0.0, _frac_is_int(self.k), 0.0)
-
-    def value(self, m: int) -> float:
-        return self.floats.c
-
-    def log_value(self, m: int) -> float:
-        return self.floats.log_c
-
-    def exact_int(self, m: int) -> Optional[int]:
-        return int(self.k) if self.floats.exact else None
-
-    def with_coefficient(self, c: NumberLike) -> "Constant":
-        return Constant(c)
+        return BoundFloats(Constant, *_coef(self.k), 0.0, _ints(self.k, 0), 0.0)
 
 
 @dataclass(frozen=True)
@@ -351,28 +351,7 @@ class Power(BoundFn):
     @cached_property
     def floats(self) -> BoundFloats:
         return BoundFloats(Power, *_coef(self.c), float(min(self.alpha, _HUGE)),
-                           _frac_is_int(self.c) and _frac_is_int(self.alpha), 0.0)
-
-    def value(self, m: int) -> float:
-        try:
-            return self.floats.c * float(m) ** self.floats.alpha
-        except OverflowError:
-            return math.inf
-
-    def log_value(self, m: int) -> float:
-        return self.floats.log_c + self.floats.alpha * math.log(m)
-
-    def exact_int(self, m: int) -> Optional[int]:
-        if self.floats.exact:
-            a = int(self.alpha)
-            # an int compared with a float never overflows; row 1 is c for any a
-            if m > 1 and a >= _LOG_HUGE / math.log(m):
-                return _HUGE
-            return int(self.c) * m ** a
-        return None
-
-    def with_coefficient(self, c: NumberLike) -> "Power":
-        return Power(c, self.alpha)
+                           _ints(self.c, self.alpha), 0.0)
 
 
 @dataclass(frozen=True)
@@ -393,30 +372,7 @@ class Exponential(BoundFn):
     @cached_property
     def floats(self) -> BoundFloats:
         base, log_base = _coef(self.a)
-        return BoundFloats(Exponential, *_coef(self.c), log_base,
-                           _frac_is_int(self.c) and _frac_is_int(self.a), base)
-
-    def value(self, m: int) -> float:
-        lv = self.log_value(m)
-        if lv >= _LOG_HUGE:
-            return float(_HUGE)
-        f = self.floats
-        if 0.0 < f.c < math.inf and f.base < math.inf:
-            return f.c * f.base ** m
-        return math.exp(lv)     # c or the base is past the float range
-
-    def log_value(self, m: int) -> float:
-        return self.floats.log_c + m * self.floats.alpha
-
-    def exact_int(self, m: int) -> Optional[int]:
-        if self.floats.exact:
-            if self.log_value(m) >= _LOG_HUGE:
-                return _HUGE
-            return int(self.c) * int(self.a) ** m
-        return None
-
-    def with_coefficient(self, c: NumberLike) -> "Exponential":
-        return Exponential(c, self.a)
+        return BoundFloats(Exponential, *_coef(self.c), log_base, _ints(self.c, self.a), base)
 
 
 def power_form(b: BoundFn) -> Optional[tuple[Fraction, Fraction]]:

@@ -28,11 +28,11 @@ from gaussdens import (
     estimate_density,
     exact_density,
     partial_double_sum,
-    zeta_limit_check,
 )
 from gaussdens.cli import main
 from gaussdens.corpus import CORPUS, by_tag
 from gaussdens.estimator import EstimatorConfig, schedule
+from paper_checks import zeta_limit_check
 
 NEAR_CFG = EstimatorConfig(s_schedule=schedule(4, 10), per_point_eps=1e-5)
 EXP_CFG = EstimatorConfig(s_schedule=schedule(7, 13), per_point_eps=1e-4)

@@ -275,13 +275,6 @@ def test_cli_strict_nonconvergent_exit(capsys):
     assert code == 3
 
 
-def test_cli_engine_error_exit(capsys):
-    # seven scheduled points cannot carry a degree-9 fit
-    code = main(["estimate", "P2", "--degree", "9"])
-    assert code == 1
-    assert "engine error" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("argv", [
     ["estimate", "P2", "--budget", "0"],
     ["estimate", "P2", "--degree", "0"],
@@ -304,6 +297,20 @@ def test_cli_numeric_flags_validated(argv, capsys):
         main(argv)
     assert exit_info.value.code == 2
     assert argv[-2] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    # seven scheduled points cannot carry a degree-9 fit
+    ["estimate", "P2", "--degree", "9"],
+    ["estimate", "lattice(2,3)", "--schedule", "0..2"],
+    ["compare", "lattice(2,3)", "--schedule", "0..3", "--degree", "5"],
+])
+def test_cli_schedule_shorter_than_the_fit_is_a_usage_error(argv, capsys):
+    # each flag is valid alone; together they leave fewer points than the fit needs
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: schedule length") and captured.err.count("\n") == 1
 
 
 def test_cli_tiny_exponent_band_is_unmet_not_a_crash(capsys):
@@ -345,7 +352,7 @@ def test_cli_coefficient_beyond_the_float_range(capsys):
 
 
 def test_cli_constant_beyond_the_float_range_is_not_a_crash(capsys):
-    # Constant.log_value takes log 10^400 from its digits, so domination is
+    # sets._coef takes log 10^400 from its digits, so domination is
     # decided exactly: exp(1,2) stays below 10^400 up to m = 1328, so that
     # pair is rejected as delim(const(3),exp(1,2)) is, and exp(10^400,2)
     # dominates it

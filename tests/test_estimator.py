@@ -21,12 +21,11 @@ from gaussdens import (
     UpperQuadrant,
     estimate_density,
     exact_density,
-    theta_invariance_check,
-    zeta_limit_check,
 )
 from gaussdens.atoms import DelimAtom, GenAtom, compile_set
 from gaussdens.estimator import EstimatorConfig, schedule
 from gaussdens.corpus import by_tag
+from paper_checks import theta_invariance_check, zeta_limit_check
 from test_dsl_cli import _exprs as _dsl_exprs
 from test_sets import _exprs as _set_exprs
 

@@ -447,7 +447,7 @@ def _reference_bound_floats(b, u):
     if isinstance(b, Power):
         logs = math.log(float(b.c)) + float(b.alpha) * np.log(u)
         vals = np.exp(np.minimum(logs, _LOG_HUGE))
-        if b.exact_int(1) is not None:
+        if b.floats.exact:
             with np.errstate(over="ignore"):    # (the rows past 2^62 take vals)
                 exact = float(b.c) * u ** float(b.alpha)
             vals = np.where(exact < _HUGE, exact, vals)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gaussdens import (
     Complement,
@@ -216,10 +216,72 @@ def test_constructor_validation():
 
 
 def test_power_zero_exponent_equals_constant():
-    p = Power(3, 0)
-    k = Constant(3)
-    assert all(p.value(m) == k.value(m) for m in range(1, 50))
-    assert all(p.ceil_at(m) == k.ceil_at(m) for m in range(1, 50))
+    for c in (3, Fraction(5, 2)):
+        p = Power(c, 0)
+        k = Constant(c)
+        cuts = [(math.ceil(c), math.floor(c))] * 49
+        assert [(p.ceil_at(m), p.floor_at(m)) for m in range(1, 50)] == cuts
+        assert [(k.ceil_at(m), k.floor_at(m)) for m in range(1, 50)] == cuts
+
+
+# a cut is checked against the exact one wherever the value lies farther than
+# this from an integer (the float value's error is far below 2^-40 relative),
+# and saturates wherever the value is at least _CUT_SATURATES
+_CUT_SLACK = Fraction(1, 10 ** 9), Fraction(1, 2 ** 40)
+_CUT_SATURATES = 2 ** 62 + 2 ** 32
+_COEFS = st.one_of(
+    st.integers(1, 10 ** 4).map(Fraction),
+    st.fractions(Fraction(1, 10 ** 4), 10 ** 4, max_denominator=10 ** 4).filter(bool),
+    st.builds(lambda k, sign, j: k + sign * Fraction(1, 10 ** j),
+              st.integers(1, 10 ** 4), st.sampled_from((-1, 1)), st.integers(1, 30)),
+)
+_ROWS = st.lists(st.one_of(st.integers(1, 40), st.integers(1, 1000), st.integers(1, 10 ** 6)),
+                 min_size=1, max_size=8)
+
+
+def _exact_sign(b, m):
+    """v -> the sign of b(m) - v for a rational v >= 0, in exact arithmetic: a
+    power with alpha = p/q compares c^q·m^p with v^q, an exponential c·base^m
+    with v."""
+    if isinstance(b, Power):
+        q = b.alpha.denominator
+        x = b.c ** q * m ** b.alpha.numerator
+        return lambda v: (x > v ** q) - (x < v ** q)
+    x = b.c * b.a ** m
+    return lambda v: (x > v) - (x < v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.builds(Power, _COEFS, st.builds(Fraction, st.integers(0, 48), st.integers(1, 12))),
+    st.builds(Exponential, _COEFS,
+              st.builds(lambda p, q: 1 + Fraction(p, q), st.integers(1, 100), st.integers(1, 12)))),
+    _ROWS)
+# values 1e-7, 2e-8 and 8e-9 off an integer, and (1 + 10^-9)·2^62, just past
+# _CUT_SATURATES
+@example(Power(3 + Fraction(1, 10 ** 7), 1), [1, 10, 1000])
+@example(Power(5 - Fraction(1, 10 ** 8), Fraction(1, 2)), [4, 9])
+@example(Exponential(1 + Fraction(1, 10 ** 9), 2), [3, 61, 62])
+def test_cuts_against_the_exact_rational_cut(b, rows):
+    f = b.floats
+    for m in rows:
+        cuts = b.ceil_at(m), b.floor_at(m)
+        log_value = f.log_c + (f.alpha * math.log(m) if isinstance(b, Power) else m * f.alpha)
+        if log_value > 50.0:       # far past 2^62, where the exact value is too long
+            assert cuts == (2 ** 62, 2 ** 62), (b, m)
+            continue
+        sign = _exact_sign(b, m)
+        if sign(_CUT_SATURATES) >= 0:
+            assert cuts == (2 ** 62, 2 ** 62), (b, m)
+        elif sign(2 ** 39) < 0:    # above 2^39 the slack passes 1/2
+            k = math.floor(math.exp(log_value))
+            while sign(k) < 0:
+                k -= 1
+            while sign(k + 1) >= 0:
+                k += 1
+            near, rel = _CUT_SLACK
+            if sign((k + near) / (1 - rel)) > 0 and sign((k + 1 - near) / (1 + rel)) < 0:
+                assert cuts == (k + 1, k), (b, m)
 
 
 # ---------------------------------------------------------------------------
