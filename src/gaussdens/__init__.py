@@ -16,7 +16,7 @@ from .estimator import (
     estimate_density,
     schedule,
 )
-from .exact import DensityValue, axis_section_finite, exact_density, exact_density_1d
+from .exact import DensityValue, exact_density, exact_density_1d
 from .oracle import CountReport, brute_partial_sum, counting_density
 from .series import (
     SeriesEval,

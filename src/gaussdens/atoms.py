@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
+from functools import cached_property
 from types import MappingProxyType
 from typing import Optional
 
@@ -128,6 +129,14 @@ class DelimAtom:
 @dataclass(frozen=True)
 class GenAtom:
     expr: GaussSetExpr
+
+    # an expression's hash walks its whole tree, and every merge rehashes atoms
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.expr)
 
 
 class _Unsupported(Exception):

@@ -13,12 +13,12 @@ so the atom rules are all that is needed:
   divided by the scale of its affine map;
 * a generic atom (an intersection no rule reduces, or a whole expression
   whose merged multiset at some node exceeded the atom cap) has density 0
-  when it has a provably finite axis section, and Unknown otherwise.
+  when the compiled atoms of its parts confine it to finitely many rows or
+  columns (nothing is normalised first), and Unknown otherwise.
 
 A one-dimensional set compiles the same way (``atoms._compile_1d``) into
 progressions and finite lists; its density is the sum of coefficient over
-step of the progressions, and an axis section is finite exactly when that
-density is 0.  So every set-algebra rule lives in ``gaussdens.atoms``.
+step of the progressions.  So every set-algebra rule lives in gaussdens.atoms.
 
 Bound parameters are rationals, so every rule gives a rational and every
 known density is an exact ``Fraction``, summed exactly from atom to total:
@@ -42,38 +42,34 @@ from .atoms import (
     ProdAtom,
     Prog,
     _CapExceeded,
+    _compile,
     _compile_1d,
     compile_set,
 )
 from .sets import (
     Complement,
-    Delimited,
     Difference,
     Dilate,
     Empty,
     Exponential,
     FinitePairs,
-    FullQuadrant,
     GaussSetExpr,
     IntComplement,
     IntIntersection,
     IntSetExpr,
     IntUnion,
     Intersection,
-    Lattice,
     Product,
     Translate,
     Union,
-    UpperQuadrant,
-    normalize,
     power_form,
 )
+from .sets import normalize  # noqa: F401  (unused: the benchmark's spans wrap exact.normalize)
 
 __all__ = [
     "DensityValue",
     "exact_density",
     "exact_density_1d",
-    "axis_section_finite",
 ]
 
 
@@ -147,60 +143,50 @@ def exact_density_1d(e: IntSetExpr) -> DensityValue:
     return DensityValue(density, _merge_traces(_node_rules(e), dict.fromkeys(rules)))
 
 
-def _axis_1d(e: IntSetExpr) -> str:
-    # past its finite lists the compiled set is periodic, so density 0 means
-    # it is eventually empty
-    d = exact_density_1d(e)
-    if not d.is_known:
-        return "unknown"
-    return "finite" if d.rational == 0 else "infinite"
+def _finite_axes(e: GaussSetExpr, seen: dict) -> tuple[bool, bool]:
+    """(rows finite, columns finite): is the set provably confined to
+    finitely many rows m, or columns n?  Either forces density 0: the rows
+    m <= M carry at most H_M(s) zeta(s) of the weight (mn)^-s, which vanishes
+    against zeta(s)^2 as s decreases to 1.
 
-
-def axis_section_finite(e: GaussSetExpr) -> tuple[str, str]:
-    """Conservative finiteness of the horizontal/vertical axis sections.
-
-    Returns a pair of tri-states in {"finite", "infinite", "unknown"}.
-    "finite" is only reported when provable; a finite axis section forces
-    density zero.
+    The walk takes the nodes a generic atom is built from; any other node is
+    finite on an axis when every atom it compiles to is.  Those atoms may be
+    generic again, over parts of the same tree, so each node is decided once
+    per ``seen`` (node id -> (node, axes); holding the node keeps its id).
     """
-    if isinstance(e, Empty):
-        return ("finite", "finite")
-    if isinstance(e, FinitePairs):
-        return ("finite", "finite")
-    if isinstance(e, Product):
-        return (_axis_1d(e.h), _axis_1d(e.v))
-    if isinstance(e, (Lattice, FullQuadrant, UpperQuadrant, Delimited)):
-        return ("infinite", "infinite")
-    if isinstance(e, Union):
-        ah, av = axis_section_finite(e.left)
-        bh, bv = axis_section_finite(e.right)
-
-        def join(a, b):
-            if "infinite" in (a, b):
-                return "infinite"
-            if a == b == "finite":
-                return "finite"
-            return "unknown"
-
-        return (join(ah, bh), join(av, bv))
-    if isinstance(e, Intersection):
-        ah, av = axis_section_finite(e.left)
-        bh, bv = axis_section_finite(e.right)
-
-        def meet(a, b):
-            if "finite" in (a, b):
-                return "finite"
-            return "unknown"
-
-        return (meet(ah, bh), meet(av, bv))
-    if isinstance(e, Difference):
-        ah, av = axis_section_finite(e.left)
-        return (ah if ah == "finite" else "unknown", av if av == "finite" else "unknown")
-    if isinstance(e, Complement):
-        return ("unknown", "unknown")
+    if id(e) in seen:
+        return seen[id(e)][1]
     if isinstance(e, (Translate, Dilate)):
-        return axis_section_finite(e.inner)
-    raise TypeError(f"unknown GaussSetExpr node {e!r}")
+        axes = _finite_axes(e.inner, seen)
+    elif isinstance(e, Difference):
+        axes = _finite_axes(e.left, seen)
+    elif isinstance(e, Intersection):
+        (ah, av), (bh, bv) = _finite_axes(e.left, seen), _finite_axes(e.right, seen)
+        axes = ah or bh, av or bv
+    elif isinstance(e, Union):
+        (ah, av), (bh, bv) = _finite_axes(e.left, seen), _finite_axes(e.right, seen)
+        axes = ah and bh, av and bv
+    else:
+        axes = _compiled_axes(e, seen)
+    seen[id(e)] = e, axes
+    return axes
+
+
+def _compiled_axes(e: GaussSetExpr, seen: dict) -> tuple[bool, bool]:
+    try:
+        atoms = _compile(e)     # not compile_set, whose kept map is the caller's
+    except _CapExceeded:
+        return False, False
+    rows = cols = True
+    for a in atoms:
+        if isinstance(a, ProdAtom):
+            h, v = isinstance(a.h, Fin), isinstance(a.v, Fin)
+        elif isinstance(a, GenAtom):
+            h, v = _finite_axes(a.expr, seen)
+        else:
+            h = v = isinstance(a, FinAtom)
+        rows, cols = rows and h, cols and v
+    return rows, cols
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +212,9 @@ def _delimited_density(atom: DelimAtom) -> tuple[Fraction, str]:
     return 1 / (1 + alpha) - 1 / (1 + beta), "power-bounds"
 
 
-def _atom_density(atom) -> tuple[Optional[Fraction], tuple[str, ...]]:
+def _atom_density(atom, seen: dict) -> tuple[Optional[Fraction], tuple[str, ...]]:
     """Closed-form density of one compiled atom (None when it has none), with
-    its rules."""
+    its rules; ``seen`` is _finite_axes' memo, shared by the atoms of a set."""
     if isinstance(atom, ProdAtom):
         if isinstance(atom.h, Prog) and isinstance(atom.v, Prog):
             return Fraction(1, atom.h.step * atom.v.step), ("product-rule", "multiples-rule")
@@ -239,8 +225,7 @@ def _atom_density(atom) -> tuple[Optional[Fraction], tuple[str, ...]]:
         band, rule = _delimited_density(atom)
         return band / (atom.am * atom.an), (rule,)
     assert isinstance(atom, GenAtom)
-    # normalising first lets a double complement inside the atom read as finite
-    if "finite" in axis_section_finite(normalize(atom.expr)):
+    if any(_finite_axes(atom.expr, seen)):
         return Fraction(0), ("finite-axis-section",)
     return None, ()
 
@@ -275,7 +260,8 @@ def exact_density(e: GaussSetExpr) -> DensityValue:
     """Density of a quadrant set: the exact sum of coefficient times
     closed-form density over the atoms the set compiles to, Unknown when an
     atom has none."""
-    parts = [(c, *_atom_density(a)) for a, c in compile_set(e).items()]
+    seen: dict = {}
+    parts = [(c, *_atom_density(a, seen)) for a, c in compile_set(e).items()]
     if any(d is None for _, d, _ in parts):
         return DensityValue.unknown()
     trace = _merge_traces(_node_rules(e), *dict.fromkeys(rules for _, _, rules in parts))

@@ -226,10 +226,11 @@ class BoundFloats(NamedTuple):
     """A bound function in floats: c*m^alpha for a Power (alpha 0 for a
     Constant), c*exp(alpha*m) = c*base^m for an Exponential.
 
-    Past the float range c is inf or 0.0 and base is inf, while log_c and
-    alpha still hold the logarithms.  A power exponent past 2^62 (past the
-    float range, even) is taken as 2^62: every row past the first saturates
-    either way, as the exact cut saturates an integer power.
+    Past the float range c is inf or 0.0 and base is inf, and a base within
+    2^-53 of 1 is 1.0, while log_c and alpha still hold the logarithms.  A
+    power exponent past 2^62 (past the float range, even) is taken as 2^62:
+    every row past the first saturates either way, as the exact cut
+    saturates an integer power.
     """
 
     kind: type
@@ -271,12 +272,13 @@ class BoundFn:
                 if m > 1 and a >= _LOG_HUGE / math.log(m):
                     return _HUGE
                 return min(c * m ** a, _HUGE)
-            if f.log_c + f.alpha * math.log(m) >= _LOG_HUGE:
+            log_v = f.log_c + f.alpha * math.log(m)
+            if log_v >= _LOG_HUGE:
                 return _HUGE
             try:
                 v = f.c * float(m) ** f.alpha
-            except OverflowError:
-                v = math.inf
+            except OverflowError:       # m^alpha alone passes the float range
+                v = math.exp(log_v)
         else:
             log_v = f.log_c + m * f.alpha
             if log_v >= _LOG_HUGE:
@@ -284,10 +286,10 @@ class BoundFn:
             if f.exact:
                 c, a = f.exact
                 return min(c * a ** m, _HUGE)
-            if 0.0 < f.c < math.inf and f.base < math.inf:
+            if 0.0 < f.c < math.inf and 1.0 < f.base < math.inf:
                 v = f.c * f.base ** m
             else:
-                v = math.exp(log_v)     # c or the base is past the float range
+                v = math.exp(log_v)     # c or the base is past the float range, or a is near 1
         r = round(v)
         if abs(v - r) <= INT_SNAP:
             return r
@@ -372,6 +374,7 @@ class Exponential(BoundFn):
     @cached_property
     def floats(self) -> BoundFloats:
         base, log_base = _coef(self.a)
+        log_base = log_base or math.log1p(float(self.a - 1))    # where a rounds to 1.0
         return BoundFloats(Exponential, *_coef(self.c), log_base, _ints(self.c, self.a), base)
 
 

@@ -30,15 +30,17 @@ from gaussdens import (
     Translate,
     Union,
     UpperQuadrant,
-    axis_section_finite,
     contains,
     exact_density,
     exact_density_1d,
 )
-from gaussdens.atoms import ATOM_CAP, _CapExceeded, _product
+from gaussdens import exact
+from gaussdens.atoms import ATOM_CAP, _CapExceeded, _compile, _product
 from gaussdens.corpus import CORPUS
 from gaussdens.dsl import parse_expression
+from gaussdens.exact import _finite_axes
 from gaussdens.sets import int_contains
+from test_sets import _exprs as _set_exprs
 
 
 # union_i translate(lattice(p_i, q_i), (6i, 6i)), (p, q) cycling: 2^k - 1 raw
@@ -135,8 +137,11 @@ def test_1d_density_is_the_residue_share_and_restricts_products(a, b):
         assert v.rational == Fraction(sum(int_contains(e, 9 + i) for i in range(1, 13)), 12)
         shares.append(v.rational)
     assert frac(Product(a, b)) == shares[0] * shares[1]
-    assert axis_section_finite(Product(a, b)) == tuple(
-        "finite" if d == 0 else "infinite" for d in shares)
+    # a merged progression never cancels to a finite set (the indicators of
+    # "multiples of d" are linearly independent), so an axis is finite
+    # exactly when its density is 0 -- or when the other side is empty
+    empty = not all(any(int_contains(e, x) for x in range(1, 22)) for e in (a, b))
+    assert _finite_axes(Product(a, b), {}) == tuple(empty or d == 0 for d in shares)
 
 
 # ---------------------------------------------------------------------------
@@ -399,24 +404,22 @@ def test_exact_density_is_the_residue_share_of_one_period(e):
 @pytest.mark.parametrize(
     "expr,expected",
     [
-        (FinitePairs(((1, 1), (2, 5))), ("finite", "finite")),
-        (Product(FiniteSet((3,)), FullP()), ("finite", "infinite")),
-        (Lattice(2, 2), ("infinite", "infinite")),
-        (Delimited(Constant(1), Power(1, 2)), ("infinite", "infinite")),
-        (UpperQuadrant(3, 3), ("infinite", "infinite")),
-        (Union(FinitePairs(((1, 1),)), Lattice(2, 2)), ("infinite", "infinite")),
-        (Union(FinitePairs(((1, 1),)), FinitePairs(((2, 2),))), ("finite", "finite")),
-        (Intersection(Lattice(2, 2), Complement(Lattice(2, 2))), ("unknown", "unknown")),
-        (Intersection(Product(FiniteSet((3,)), FullP()), Lattice(2, 2)),
-         ("finite", "unknown")),
-        (Translate(FinitePairs(((1, 1),)), (3, 3)), ("finite", "finite")),
-        (Dilate((2, 2), Product(FullP(), FiniteSet((1, 2)))), ("infinite", "finite")),
-        (Product(IntIntersection(Multiples(2), Multiples(3)), FiniteSet((1,))),
-         ("infinite", "finite")),
+        (FinitePairs(((1, 1), (2, 5))), (True, True)),
+        (Product(FiniteSet((3,)), FullP()), (True, False)),
+        (Lattice(2, 2), (False, False)),
+        (Delimited(Constant(1), Power(1, 2)), (False, False)),
+        (UpperQuadrant(3, 3), (False, False)),
+        (Union(FinitePairs(((1, 1),)), Lattice(2, 2)), (False, False)),
+        (Union(FinitePairs(((1, 1),)), FinitePairs(((2, 2),))), (True, True)),
+        (Intersection(Lattice(2, 2), Complement(Lattice(2, 2))), (False, False)),
+        (Intersection(Product(FiniteSet((3,)), FullP()), Lattice(2, 2)), (True, False)),
+        (Translate(FinitePairs(((1, 1),)), (3, 3)), (True, True)),
+        (Dilate((2, 2), Product(FullP(), FiniteSet((1, 2)))), (False, True)),
+        (Product(IntIntersection(Multiples(2), Multiples(3)), FiniteSet((1,))), (False, True)),
     ],
 )
 def test_axis_section_analysis(expr, expected):
-    assert axis_section_finite(expr) == expected
+    assert _finite_axes(expr, {}) == expected
 
 
 def test_finite_axis_forces_zero_density():
@@ -425,14 +428,63 @@ def test_finite_axis_forces_zero_density():
     assert frac(Dilate((3, 2), Product(FiniteSet((3,)), FullP()))) == 0
 
 
-def test_double_complement_in_generic_atom_keeps_finite_axis():
-    # Delimited ∩ Product has no atom rule, so this is one generic atom whose
-    # horizontal section is finite once the double complement is removed
+_IDENTITY_MAPS = {
+    "bare": lambda x: x,
+    "translate-0": lambda x: Translate(x, (0, 0)),
+    "dilate-1": lambda x: Dilate((1, 1), x),
+}
+
+
+@pytest.mark.parametrize("wrap", _IDENTITY_MAPS.values(), ids=_IDENTITY_MAPS)
+def test_double_complement_in_generic_atom_keeps_finite_axis(wrap):
+    # Delimited ∩ Product has no atom rule, so this is one generic atom; the
+    # double complement compiles back to the product's own atoms, through an
+    # identity map too
     e = Intersection(Delimited(Constant(1), Power(1, 2)),
-                     Complement(Complement(Product(FiniteSet((1, 2)), FullP()))))
+                     Complement(wrap(Complement(Product(FiniteSet((1, 2)), FullP())))))
     v = exact_density(e)
     assert v.rational == 0
     assert v.trace[-1] == "finite-axis-section"
+
+
+def test_a_complemented_product_in_a_generic_atom_has_finite_rows():
+    # compl(prod(compl(F), P)) compiles to the rows F, though no node of it
+    # is a finite product
+    v = exact_density(parse_expression(
+        "inter(compl(prod(compl(set{2,7}),P)),delim(const(1),pow(1,2)))"))
+    assert v.rational == 0
+    assert v.trace[-1] == "finite-axis-section"
+
+
+@settings(max_examples=150, deadline=None)
+@given(_set_exprs, st.lists(st.integers(1, 9), min_size=1, max_size=3), st.booleans(),
+       st.booleans(), st.sampled_from([*_IDENTITY_MAPS.values(),
+                                       lambda x: Complement(Complement(x))]))
+def test_a_set_within_finitely_many_rows_or_columns_has_density_zero(x, f, columns, left,
+                                                                       wrap):
+    axis = FiniteSet(tuple(f))
+    strip = Product(FullP(), axis) if columns else Product(axis, FullP())
+    e = Intersection(x, wrap(strip)) if left else Intersection(wrap(strip), x)
+    assert exact_density(e).rational == 0
+
+
+def test_a_nested_generic_atom_is_decided_once_per_node(monkeypatch):
+    # compl(compl(union(e, inter(band, rows j)))) nested k deep compiles to
+    # generic atoms over the levels below, each with finite rows: deciding
+    # each level afresh compiles about 4^(k/2) nodes (1,506 at k = 8)
+    calls = []
+    monkeypatch.setattr(exact, "_compile", lambda e: calls.append(e) or _compile(e))
+    band = Delimited(Constant(1), Power(1, 2))
+
+    def rows(r):
+        return Intersection(band, Product(FiniteSet((r,)), FullP()))
+
+    k = 8
+    e = rows(1)
+    for j in range(k):
+        e = Complement(Complement(Union(e, rows(j + 2))))
+    assert exact_density(e).rational == 0
+    assert len(calls) <= 2 * k + 1
 
 
 def test_deep_python_built_union():

@@ -1145,6 +1145,14 @@ def test_a_lower_cut_past_2_to_the_62_against_mpmath(text, s):
         assert abs(ev.value - ref) <= ev.tail_bound
 
 
+def test_an_exponential_band_near_s_1_against_mpmath():
+    # the ratio at 30 digits, from tests/exp_band_reference.py.  At this s the
+    # exponential sides' closed remainder is most of the bound
+    ref = mpmath.mpf("5.61594645054444187278568773028e-5")
+    ev = density_at(parse_expression("delim(exp(1,2),exp(1,3))"), 1.0 + 2.0 ** -13, 1e-6)
+    assert abs(ev.value - ref) <= ev.tail_bound
+
+
 @pytest.mark.parametrize("m,n", [(10 ** 308, 3), (2 ** 1020, 1), (2 ** 1030, 1),
                                  (7, 2 ** 1024 + 1)],
                          ids=["10^308x3", "2^1020", "2^1030", "7x(2^1024+1)"])

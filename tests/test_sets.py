@@ -284,6 +284,28 @@ def test_cuts_against_the_exact_rational_cut(b, rows):
                 assert cuts == (k + 1, k), (b, m)
 
 
+def test_a_base_within_2_to_the_minus_53_of_1_keeps_its_log():
+    # 1 + 10^-20 rounds to the float 1.0; its log comes from log1p, so the
+    # value at m = 10^21 is e^10 = 22026.47
+    b = Exponential(1, 1 + Fraction(1, 10 ** 20))
+    assert (b.ceil_at(10 ** 21), b.floor_at(10 ** 21)) == (22027, 22026)
+    band = Delimited(Constant(1), b)
+    assert contains(band, (10 ** 21, 22026))
+    assert not contains(band, (10 ** 21, 22027))
+
+
+@pytest.mark.parametrize("c,m,cuts", [
+    (Fraction(1, 10 ** 400), 35099233809252, (0, 0)),
+    (Fraction(1, 10 ** 400), 2 * 10 ** 17, (1, 0)),
+    (Fraction(1, 10 ** 300), 35099233809252, (348213523279, 348213523278)),
+])
+def test_a_power_whose_float_product_overflows_cuts_from_its_log(c, m, cuts):
+    # m^23 passes the float range while c·m^23 is 5e-89, 0.008 or 3.5e11; the
+    # first is within INT_SNAP of 0, so both its cuts snap onto 0
+    b = Power(c, 23)
+    assert (b.ceil_at(m), b.floor_at(m)) == cuts
+
+
 # ---------------------------------------------------------------------------
 # normalisation rules
 # ---------------------------------------------------------------------------
