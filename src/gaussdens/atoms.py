@@ -233,40 +233,50 @@ def _compile_1d(e: IntSetExpr) -> dict:
     raise TypeError(f"unknown IntSetExpr node {e!r}")
 
 
-def _compile(e: GaussSetExpr) -> dict:
+def _compile(e: GaussSetExpr, memo: Optional[dict] = None) -> dict:
+    """The map of e.  With a memo (node id -> (node, map); holding the node
+    keeps its id), each node of a tree compiles once however often it is
+    asked for, and the maps are shared, so no caller may change one."""
+    if memo is not None and id(e) in memo:
+        return memo[id(e)][1]
     if isinstance(e, Empty):
-        return {}
-    if isinstance(e, FullQuadrant):
-        return dict(_FULL)
-    if isinstance(e, Lattice):
-        return {ProdAtom(Prog(e.p, e.p), Prog(e.q, e.q)): 1}
-    if isinstance(e, UpperQuadrant):
-        return {ProdAtom(Prog(1, e.m0), Prog(1, e.n0)): 1}
-    if isinstance(e, Product):
-        return _product(_compile_1d(e.h), _compile_1d(e.v), ProdAtom)
-    if isinstance(e, FinitePairs):
-        return {FinAtom(e.pairs): 1} if e.pairs else {}
-    if isinstance(e, Delimited):
+        out = {}
+    elif isinstance(e, FullQuadrant):
+        out = dict(_FULL)
+    elif isinstance(e, Lattice):
+        out = {ProdAtom(Prog(e.p, e.p), Prog(e.q, e.q)): 1}
+    elif isinstance(e, UpperQuadrant):
+        out = {ProdAtom(Prog(1, e.m0), Prog(1, e.n0)): 1}
+    elif isinstance(e, Product):
+        out = _product(_compile_1d(e.h), _compile_1d(e.v), ProdAtom)
+    elif isinstance(e, FinitePairs):
+        out = {FinAtom(e.pairs): 1} if e.pairs else {}
+    elif isinstance(e, Delimited):
         lo, hi = _constant_cut(e.lower, math.ceil), _constant_cut(e.upper, math.floor)
         if hi is not None:      # (then so is lo: validation forbids a growing lower side)
-            return {} if lo > hi else {ProdAtom(Prog(1, 1), Prog(1, lo)): 1,
-                                       ProdAtom(Prog(1, 1), Prog(1, hi + 1)): -1}
-        if lo is None:
-            return {DelimAtom(e.lower, e.upper, 1, 0, 1, 0, 1, 1): 1}
-        return {DelimAtom(Constant(1), e.upper, 1, 0, 1, 0, 1, lo): 1}
-    if isinstance(e, (Translate, Dilate)):
-        return {_map_atom(a, e): c for a, c in _compile(e.inner).items()}
-    if isinstance(e, Union):
-        ca, cb = _compile(e.left), _compile(e.right)
-        return _combine((1, ca), (1, cb), (-1, _meet(ca, cb, e.left, e.right)))
-    if isinstance(e, Difference):
-        ca, cb = _compile(e.left), _compile(e.right)
-        return _combine((1, ca), (-1, _meet(ca, cb, e.left, e.right)))
-    if isinstance(e, Complement):
-        return _combine((1, _FULL), (-1, _compile(e.inner)))
-    if isinstance(e, Intersection):
-        return _meet(_compile(e.left), _compile(e.right), e.left, e.right)
-    raise TypeError(f"unknown GaussSetExpr node {e!r}")
+            out = {} if lo > hi else {ProdAtom(Prog(1, 1), Prog(1, lo)): 1,
+                                      ProdAtom(Prog(1, 1), Prog(1, hi + 1)): -1}
+        elif lo is None:
+            out = {DelimAtom(e.lower, e.upper, 1, 0, 1, 0, 1, 1): 1}
+        else:
+            out = {DelimAtom(Constant(1), e.upper, 1, 0, 1, 0, 1, lo): 1}
+    elif isinstance(e, (Translate, Dilate)):
+        out = {_map_atom(a, e): c for a, c in _compile(e.inner, memo).items()}
+    elif isinstance(e, Union):
+        ca, cb = _compile(e.left, memo), _compile(e.right, memo)
+        out = _combine((1, ca), (1, cb), (-1, _meet(ca, cb, e.left, e.right)))
+    elif isinstance(e, Difference):
+        ca, cb = _compile(e.left, memo), _compile(e.right, memo)
+        out = _combine((1, ca), (-1, _meet(ca, cb, e.left, e.right)))
+    elif isinstance(e, Complement):
+        out = _combine((1, _FULL), (-1, _compile(e.inner, memo)))
+    elif isinstance(e, Intersection):
+        out = _meet(_compile(e.left, memo), _compile(e.right, memo), e.left, e.right)
+    else:
+        raise TypeError(f"unknown GaussSetExpr node {e!r}")
+    if memo is not None:
+        memo[id(e)] = e, out
+    return out
 
 
 def _constant_cut(b: BoundFn, rounding) -> Optional[int]:

@@ -152,7 +152,8 @@ def _finite_axes(e: GaussSetExpr, seen: dict) -> tuple[bool, bool]:
     The walk takes the nodes a generic atom is built from; any other node is
     finite on an axis when every atom it compiles to is.  Those atoms may be
     generic again, over parts of the same tree, so each node is decided once
-    per ``seen`` (node id -> (node, axes); holding the node keeps its id).
+    per ``seen`` (node id -> (node, axes); holding the node keeps its id),
+    and compiled once: ``seen["compiled"]`` is the compiler's memo.
     """
     if id(e) in seen:
         return seen[id(e)][1]
@@ -174,7 +175,8 @@ def _finite_axes(e: GaussSetExpr, seen: dict) -> tuple[bool, bool]:
 
 def _compiled_axes(e: GaussSetExpr, seen: dict) -> tuple[bool, bool]:
     try:
-        atoms = _compile(e)     # not compile_set, whose kept map is the caller's
+        # not compile_set, whose kept map is the caller's
+        atoms = _compile(e, seen.setdefault("compiled", {}))
     except _CapExceeded:
         return False, False
     rows = cols = True

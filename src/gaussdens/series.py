@@ -907,7 +907,8 @@ def partial_double_sum(e: GaussSetExpr, s: float, N: int) -> float:
         if live.size < len(mask):
             mask = mask[live]
         rows = buf[:live.size]
-        np.multiply(npow, mask, out=rows)
+        np.copyto(rows, mask)       # one cast, where a bool x float multiply buffers one
+        rows *= npow
         rows *= ((live + float(lo)) ** -s)[:, None]
         row_sums.extend(np.sum(rows, axis=1).tolist())
     return float(math.fsum(row_sums))

@@ -13,7 +13,8 @@ Sets are described symbolically:
   ``lower(m) <= n <= upper(m)``, so its column section at m is
   [ceil lower(m), floor upper(m)].  A bound holds its exact rational
   parameters and, taken once, their float view ``floats``; one cut
-  procedure (``ceil_at`` and ``floor_at``) reads both.
+  procedure (``ceil_at`` and ``floor_at``) reads both, and ``cut_rows``
+  gives its cuts over a range of rows as an array.
 
 Expressions are immutable after construction and every operation here is a
 pure function, so values can be shared freely between threads.
@@ -23,7 +24,8 @@ one-dimensional sets), which compiles an expression into its column sections
 A^m = {n : (m, n) in A}: each is EMPTY, ALL or a flat test over n.
 :func:`predicate` is its two-argument view, and :func:`contains` and
 :func:`int_contains` are the validated entry points.  :func:`grid_mask`
-decides the same relation vectorised over a box of points.
+decides the same relation vectorised over a box of points, a band's rows
+through ``cut_rows``.
 
 Boundary convention: coordinates with m = 0 or n = 0 are outside every set;
 constructors and membership reject them.
@@ -81,6 +83,7 @@ __all__ = [
 INT_SNAP = 1e-9            # floats this close to an integer are snapped before rounding
 _HUGE = 2 ** 62            # bound values beyond this are treated as "effectively infinite"
 _LOG_HUGE = math.log(float(_HUGE))
+_RADIUS = 2.0 ** -40       # relative error radius of a cut's float value, far above numpy's
 FINITE_PAIRS_CAP = 10 ** 6
 
 NumberLike = Union[int, float, str, Fraction]
@@ -294,6 +297,63 @@ class BoundFn:
         if abs(v - r) <= INT_SNAP:
             return r
         return math.ceil(v) if up else math.floor(v)
+
+    @cached_property
+    def _exact_top(self) -> int:
+        """The last row m whose exact value (an integer power) is at most
+        2^61, 0 when none is."""
+        c, a = self.floats.exact
+        top = _HUGE // 2
+        if c > top:
+            return 0
+        if a > 61:
+            return 1
+        m = int((top / c) ** (1 / a))
+        while c * (m + 1) ** a <= top:
+            m += 1
+        while c * m ** a > top:
+            m -= 1
+        return m
+
+    def cut_rows(self, m_lo: int, m_hi: int, up: bool) -> np.ndarray:
+        """``[self._cut(m, up) for m in m_lo..m_hi]`` as an int64 array.
+
+        ``_cut`` stays the one decision rule: this path takes only the rows
+        of a power where it provably decides as ``_cut`` does, and asks
+        ``_cut`` for the rest and for every row of an exponential.  A side
+        constant in m reads its level.  An integer power is computed exactly
+        up to the value 2^61.  Any other power rounds numpy's float value
+        where it lies farther than ``_RADIUS`` * value from the snap edge
+        INT_SNAP, a radius that covers numpy's few ulps of difference from
+        libm's ``pow``.
+        """
+        level = self._level
+        if level is not None:
+            return np.full(m_hi - m_lo + 1, level[0] if up else level[1], dtype=np.int64)
+        f = self.floats
+        out = np.empty(m_hi - m_lo + 1, dtype=np.int64)
+        ok = np.zeros(len(out), dtype=bool)
+        if f.kind is Power and f.exact:
+            top = min(self._exact_top, m_hi)
+            if top >= m_lo:     # then c is at most 2^61
+                c, a = f.exact
+                ok[:top - m_lo + 1] = True
+                mi = np.arange(m_lo, top + 1, dtype=np.int64)
+                # past 61, only row 1 is exact, and int64 cannot hold a 10^200 exponent
+                out[ok] = c * mi ** min(a, 62)
+        elif f.kind is Power:
+            # float(m) of each row: a float arange steps by its first difference
+            ms = np.arange(m_lo, m_hi + 1, dtype=np.int64).astype(np.float64)
+            with np.errstate(over="ignore", invalid="ignore"):
+                v = f.c * np.power(ms, f.alpha)
+                r = np.round(v)
+                d = np.abs(v - r)
+                # False for NaN, inf and every value past 2^39, where the radius passes 1/2
+                ok = np.abs(d - INT_SNAP) > _RADIUS * v
+                out[ok] = np.where(d <= INT_SNAP, r, np.ceil(v) if up else np.floor(v))[ok]
+        for i in np.flatnonzero(~ok).tolist():
+            out[i] = self._cut(m_lo + i, up)
+        return out
 
     def ceil_at(self, m: int) -> int:
         """ceil of the value: first admissible integer above."""
@@ -839,7 +899,9 @@ def grid_mask(e: GaussSetExpr, m_lo: int, m_hi: int, n_hi: int) -> np.ndarray:
     """Boolean membership over rows m_lo..m_hi and columns 1..n_hi.
 
     Decides the same relation as ``contains`` on every grid point; row i of
-    the result corresponds to m = m_lo + i.
+    the result corresponds to m = m_lo + i.  A band cuts each side once over
+    its rows (``BoundFn.cut_rows``) and fills each non-empty row by one
+    slice.
     """
     if m_lo < 1 or m_hi < m_lo or n_hi < 1:
         raise ValidationError("grid_mask requires 1 <= m_lo <= m_hi and n_hi >= 1")
@@ -901,10 +963,10 @@ def grid_mask(e: GaussSetExpr, m_lo: int, m_hi: int, n_hi: int) -> np.ndarray:
         return out
     if isinstance(e, Delimited):
         out = np.zeros((rows, n_hi), dtype=bool)
-        for i, m in enumerate(range(m_lo, m_hi + 1)):
-            lo = max(e.lower.ceil_at(m), 1)
-            hi = min(e.upper.floor_at(m), n_hi)
-            if lo <= hi:
-                out[i, lo - 1:hi] = True
+        lo = np.maximum(e.lower.cut_rows(m_lo, m_hi, True), 1).tolist()
+        hi = np.minimum(e.upper.cut_rows(m_lo, m_hi, False), n_hi).tolist()
+        for i, (a, b) in enumerate(zip(lo, hi)):
+            if a <= b:
+                out[i, a - 1:b] = True
         return out
     raise TypeError(f"unknown GaussSetExpr node {e!r}")

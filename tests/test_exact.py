@@ -34,7 +34,7 @@ from gaussdens import (
     exact_density,
     exact_density_1d,
 )
-from gaussdens import exact
+from gaussdens import atoms, exact
 from gaussdens.atoms import ATOM_CAP, _CapExceeded, _compile, _product
 from gaussdens.corpus import CORPUS
 from gaussdens.dsl import parse_expression
@@ -473,7 +473,7 @@ def test_a_nested_generic_atom_is_decided_once_per_node(monkeypatch):
     # generic atoms over the levels below, each with finite rows: deciding
     # each level afresh compiles about 4^(k/2) nodes (1,506 at k = 8)
     calls = []
-    monkeypatch.setattr(exact, "_compile", lambda e: calls.append(e) or _compile(e))
+    monkeypatch.setattr(exact, "_compile", lambda e, memo: calls.append(e) or _compile(e, memo))
     band = Delimited(Constant(1), Power(1, 2))
 
     def rows(r):
@@ -485,6 +485,27 @@ def test_a_nested_generic_atom_is_decided_once_per_node(monkeypatch):
         e = Complement(Complement(Union(e, rows(j + 2))))
     assert exact_density(e).rational == 0
     assert len(calls) <= 2 * k + 1
+
+
+def test_a_deep_chain_of_generic_atoms_compiles_each_node_once(monkeypatch):
+    # each complement level is decided on its compiled atoms, generic atoms
+    # over the level below; compiling every level afresh recompiles the whole
+    # chain below it (3,783 compiles at depth 30, 14,763 at 60)
+    calls = []
+    monkeypatch.setattr(atoms, "_compile", lambda e, memo=None: calls.append(e) or _compile(e, memo))
+    band = Delimited(Constant(1), Power(1, 2))
+
+    def compiles(depth):
+        e = Lattice(3, 5)
+        for j in range(depth):
+            rows = Intersection(band, Product(FiniteSet((j + 1,)), FullP()))
+            e = Complement(Complement(Intersection(Union(e, rows), Lattice(2, 1))))
+        calls.clear()
+        assert exact_density(e).rational is None
+        return len(calls)
+
+    shallow, deep = compiles(30), compiles(60)
+    assert deep <= 2 * shallow + 30, (shallow, deep)
 
 
 def test_deep_python_built_union():

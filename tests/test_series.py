@@ -1020,9 +1020,9 @@ def test_each_command_compiles_its_expression_once(argv, monkeypatch, capsys):
     calls = []
     compile_node = atoms_module._compile
 
-    def spy(e):
+    def spy(e, memo=None):
         calls.append(e)
-        return compile_node(e)
+        return compile_node(e, memo)
 
     monkeypatch.setattr(atoms_module, "_compile", spy)
     assert main(argv) == 0

@@ -306,6 +306,55 @@ def test_a_power_whose_float_product_overflows_cuts_from_its_log(c, m, cuts):
     assert (b.ceil_at(m), b.floor_at(m)) == cuts
 
 
+# the bounds of test_cuts_against_the_exact_rational_cut, with parameters past
+# the float range, an exponent past 2^62 or under the least float, and a base
+# within 2^-53 of 1
+_FAR_COEFS = st.one_of(_COEFS, st.sampled_from([Fraction(10) ** 400, Fraction(1, 10 ** 400)]))
+_ARRAY_CUT_BOUNDS = st.one_of(
+    st.builds(Constant, st.one_of(_COEFS.map(lambda k: k + 1), st.just(Fraction(10) ** 400))),
+    st.builds(Power, _FAR_COEFS, st.one_of(
+        st.builds(Fraction, st.integers(0, 48), st.integers(1, 12)),
+        st.sampled_from([Fraction(2 ** 70), Fraction(1, 10 ** 400)]))),
+    st.builds(Exponential, _FAR_COEFS, st.one_of(
+        st.builds(lambda p, q: 1 + Fraction(p, q), st.integers(1, 100), st.integers(1, 12)),
+        st.sampled_from([1 + Fraction(1, 10 ** 20), Fraction(10) ** 400]))),
+)
+
+
+def _row_near_2_to_the_61(b):
+    """A row where b's value is about 2^61.5 (1 when every row is past it,
+    2^62 when none is)."""
+    f = b.floats
+    gap = 61.5 * math.log(2) - f.log_c
+    if gap <= 0.0 or f.alpha == 0.0:
+        return 1 if gap <= 0.0 else 2 ** 62
+    x = math.exp(min(gap / f.alpha, 50.0)) if isinstance(b, Power) else gap / f.alpha
+    return int(min(max(x, 1.0), 2.0 ** 62))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ARRAY_CUT_BOUNDS, st.booleans(), st.integers(-40, 10 ** 6), st.integers(0, 80))
+# values 1e-9 off an integer, one ulp either side of INT_SNAP where numpy's
+# power and libm's differ by an ulp (on AVX-512), the rows around the snap at
+# 3.0000000001·m, and an exponent past int64 on row 1 alone
+@example(Power(Fraction(4822433305072417, 2 ** 58), Fraction(4, 3)), False, 49, 0)
+@example(Power(Fraction(2734393439370925, 2 ** 58), Fraction(5, 2)), False, 10, 0)
+@example(Power(Fraction(1999885989517589, 2 ** 55), Fraction(1, 2)), False, 2921, 0)
+@example(Power(Fraction("3.0000000001"), 1), False, 1, 19)
+@example(Power(1, 10 ** 200), False, 1, 0)
+@example(Power(3, 2), True, 0, 20)
+@example(Exponential(7, 3), True, -10, 20)
+def test_cut_rows_is_the_scalar_cut_row_by_row(b, near_saturation, start, width):
+    # near_saturation: rows from start past a row valued about 2^61.5
+    # (across 2^61, where integer parameters leave int64 arithmetic, and
+    # 2^62); otherwise rows from start
+    lo = max(1, start + (_row_near_2_to_the_61(b) if near_saturation else 0))
+    for up in (True, False):
+        got = b.cut_rows(lo, lo + width, up)
+        assert got.dtype == np.int64
+        assert got.tolist() == [b._cut(m, up) for m in range(lo, lo + width + 1)], (lo, up)
+
+
 # ---------------------------------------------------------------------------
 # normalisation rules
 # ---------------------------------------------------------------------------
@@ -493,6 +542,41 @@ def test_translate_membership_law(e, m0, n0):
         for n in range(1, 40, 5):
             want = m > m0 and n > n0 and contains(e, (m - m0, n - n0))
             assert contains(shifted, (m, n)) is want
+
+
+def _band(c, alpha, dc, dalpha, base):
+    """c·m^alpha below (c + dc)·m^(alpha + dalpha), or below (c + dc)·base^m
+    where that dominates."""
+    lower, upper = Power(c, alpha), Power(c + dc, alpha + dalpha)
+    if base is not None and _dominates(Exponential(c + dc, base), lower):
+        upper = Exponential(c + dc, base)
+    return Delimited(lower, upper)
+
+
+_fracs = st.builds(Fraction, st.integers(0, 36), st.integers(1, 12))
+_bands = st.builds(_band, _COEFS.map(lambda k: k + 1), _fracs, _COEFS | st.just(Fraction(0)),
+                   _fracs, st.none() | st.builds(lambda p, q: 1 + Fraction(p, q),
+                                                 st.integers(1, 12), st.integers(1, 12)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.recursive(_bands, lambda inner: st.one_of(
+           st.builds(Intersection, inner, st.builds(Lattice, st.integers(1, 3), st.integers(1, 3))),
+           st.builds(Union, inner, inner),
+           st.builds(Complement, inner),
+           st.builds(Translate, inner, st.tuples(st.integers(0, 5), st.integers(0, 5))),
+           st.builds(lambda f, e: Dilate(f, e), st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                     inner)),
+       max_leaves=3),
+       st.integers(1, 400), st.integers(0, 40), st.integers(1, 300))
+def test_grid_mask_cuts_band_rows_as_contains_does(e, m_lo, rows, n_hi):
+    # band sides with rational parameters and values near integers, where
+    # grid_mask reads the array cut and contains the scalar one
+    box = grid_mask(e, m_lo, m_lo + rows, n_hi)
+    for i in range(rows + 1):
+        want = [contains(e, (m_lo + i, n)) for n in range(1, n_hi + 1)]
+        assert box[i].tolist() == want, m_lo + i
+
 
 
 def test_grid_mask_modulus_above_int64():
