@@ -21,7 +21,8 @@ Each node is built from its compiled children,
 where the product intersects atoms pairwise (CRT on progressions, filtering
 of finite lists, quadrant cuts on bands and generic atoms, and an atom with
 itself) and merges equal atoms.  When a pair of atoms has no intersection
-rule, the whole product becomes one ``GenAtom`` of the intersection.  When
+rule, the whole product becomes one ``GenAtom`` of the intersection, which
+carries the two operands' maps (the series engine brackets it from them).  When
 any node's merged map, or a product while it is being built, holds more
 than ``ATOM_CAP`` atoms, the whole expression compiles to one ``GenAtom``.
 
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from types import MappingProxyType
 from typing import Optional
@@ -129,6 +130,10 @@ class DelimAtom:
 @dataclass(frozen=True)
 class GenAtom:
     expr: GaussSetExpr
+    # the compiled maps of the two operands, where expr is the Intersection
+    # that _meet built (else None); the series engine brackets the atom from
+    # them.  Not part of equality, hash or repr: expr alone names the atom
+    operands: Optional[tuple[Mapping, Mapping]] = field(default=None, compare=False, repr=False)
 
     # an expression's hash walks its whole tree, and every merge rehashes atoms
     def __hash__(self):
@@ -209,7 +214,7 @@ def _meet(ca: dict, cb: dict, left: GaussSetExpr, right: GaussSetExpr) -> dict:
     try:
         return _product(ca, cb, _atom_intersect)
     except _Unsupported:
-        return {GenAtom(Intersection(left, right)): 1}
+        return {GenAtom(Intersection(left, right), (ca, cb)): 1}
 
 
 # ---------------------------------------------------------------------------

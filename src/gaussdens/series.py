@@ -33,7 +33,9 @@ Atom kinds:
   in fixed-size blocks of rows (``_BOX_CELLS`` cells, one float buffer per
   call); a row with no member is skipped, since it would add exactly 0.0, and
   every other row is one pairwise ``np.sum`` over its full length, so the sum
-  is the same bits at any block size.
+  is the same bits at any block size.  A generic atom that is the meet of two
+  compiled operands is bracketed from them instead, where the box would miss
+  its target and its bound is no narrower than the bracket (``_bracket``).
 
 Tail bounds
 -----------
@@ -169,7 +171,7 @@ class SeriesEval:
     value: float
     tail_bound: float
     terms_used: int
-    method: str  # "direct" | "rowwise" | "product-closed-form"
+    method: str  # "direct" | "bracket" | "rowwise" | "product-closed-form"
 
     def to_row(self) -> dict:
         return {
@@ -840,8 +842,50 @@ def _eval_delim_atom(atom: DelimAtom, s: float, eps_abs: float, rows_budget: int
     return value, err, total_rows
 
 
-def _eval_gen_atom(atom: GenAtom, s: float, eps_abs: float,
-                   terms_budget: int) -> tuple[float, float, int]:
+# The loosest target, in ratio units, of a bracket's operands: a bracket's
+# half-width is at least half the gap between its two ends, about 0.1 to 0.2
+# on the benchmark's meets, which a tighter target does not narrow.
+_BRACKET_EPS = 1e-3
+
+
+def _bracket(operands, s: float, target: float, spent: int,
+             term_budget: int) -> tuple[float, float, int]:
+    """(mid, half-width, terms) of the sum over A n B in sum units, from the
+    compiled maps of A and B, each evaluated to the target (sum units).
+
+    With U_X and L_X an operand's sum plus and minus its bound,
+    U = min(U_A, U_B, zeta^2) and L = max(0, L_A + L_B - zeta^2): A n B lies
+    in both, and A u B in the quadrant.  The charge of 1e-13 zeta^2 covers
+    zeta's own rounding (below 1e-14 of it) and the few roundings here.
+    """
+    z = zeta(s)
+    z2 = z * z
+    ends = []
+    terms = 0
+    for atoms in operands:
+        eps_abs = target / sum(abs(c) for c in atoms.values())
+        values, errs, t = _eval_map(atoms, s, eps_abs, spent + terms, term_budget, None)
+        terms += t
+        v, e = math.fsum(values), math.fsum(errs)
+        ends.append((v - e, v + e))
+    (lo_a, hi_a), (lo_b, hi_b) = ends
+    upper = min(hi_a, hi_b, z2)
+    lower = max(0.0, lo_a + lo_b - z2)
+    return (lower + upper) / 2.0, (upper - lower) / 2.0 + 1e-13 * z2, terms
+
+
+def _eval_gen_atom(atom: GenAtom, s: float, eps_abs: float, spent: int,
+                   term_budget: int) -> tuple[float, float, int, bool]:
+    """(value, error bound, terms, bracketed) of a generic atom, with spent
+    terms of the point's term_budget gone.
+
+    The box [1, N]^2 with N from the remaining budget.  Where it misses the
+    target and the atom is an intersection with compiled operands, the
+    operands' bracket (_bracket) is taken instead if it is no wider than the
+    box's bound; then no cell is summed and bracketed is True.  Each operand
+    is evaluated to a quarter of the box's bound, so their errors take at most
+    half of it, or to _BRACKET_EPS in ratio units where that is tighter.
+    """
     z = zeta(s)
     d = s - 1.0
 
@@ -850,7 +894,7 @@ def _eval_gen_atom(atom: GenAtom, s: float, eps_abs: float,
 
     # required N from the generic bound 2*zeta(s)*N^(1-s)/(s-1) <= eps_abs
     log_n = math.log(max(2.0 * z / (d * eps_abs), 1.0)) / d
-    n_allowed = min(int(math.isqrt(max(terms_budget, 1))), _GENERIC_HARD_CAP)
+    n_allowed = min(int(math.isqrt(max(term_budget - spent, 1))), _GENERIC_HARD_CAP)
     met = log_n <= math.log(max(n_allowed, 2))
     n = n_allowed if not met else max(2, int(math.ceil(math.exp(log_n))))
     n = min(n, n_allowed)
@@ -858,22 +902,54 @@ def _eval_gen_atom(atom: GenAtom, s: float, eps_abs: float,
     if not met and bound(n) > 0.25:
         # the reachable bound carries no information; spend fewer terms on it
         n = min(n, 2000)
+    if not met and atom.operands is not None:
+        target = min(bound(n) / 4.0, _BRACKET_EPS * z * z)
+        mid, half, terms = _bracket(atom.operands, s, target, spent, term_budget)
+        if bound(n) >= half:
+            return mid, half, terms, True
     value = partial_double_sum(atom.expr, s, n)
-    return value, bound(n), n * n
+    return value, bound(n), n * n, False
 
 
-def _eval_atom(a, s: float, eps_abs: float, budget: int, term_budget: int):
-    """(value, error bound, terms) of an atom other than a product."""
-    if isinstance(a, FinAtom):
-        # a point past the float range gives a term below it, 0.0
-        vals = [(float(m) * float(n)) ** -s if max(m, n) < _FLOAT_LIMIT else 0.0
-                for m, n in a.pairs]
-        return math.fsum(vals), 1e-15 * len(vals), len(vals)
-    if isinstance(a, DelimAtom):
-        return _eval_delim_atom(a, s, eps_abs, budget, term_budget)
-    if isinstance(a, GenAtom):
-        return _eval_gen_atom(a, s, eps_abs, budget)
-    raise TypeError(a)
+def _eval_map(atoms, s: float, eps_abs: float, spent: int, term_budget: int,
+              bracketed: Optional[list]) -> tuple[list[float], list[float], int]:
+    """(coef * value per atom, |coef| * error bound per atom, terms) of a
+    compiled map at s, each atom evaluated to eps_abs with spent terms of the
+    point's term_budget gone.  Each generic atom appends to bracketed whether
+    it took its bracket.
+
+    With bracketed None (an operand of a bracket), a generic atom counts as
+    [0, zeta^2], its whole mass, and is not evaluated.
+    """
+    # the axis sums of the product atoms, two per atom in map order
+    sums = iter(_axis_sums([x for a in atoms if isinstance(a, ProdAtom) for x in (a.h, a.v)], s))
+    values: list[float] = []
+    errs: list[float] = []
+    terms = 0
+    for atom, coef in atoms.items():
+        if isinstance(atom, ProdAtom):
+            (vh, eh, th), (vv, ev, tv) = next(sums), next(sums)
+            v, err, t = vh * vv, vh * ev + vv * eh + eh * ev, th + tv
+        elif isinstance(atom, GenAtom) and bracketed is None:
+            v = err = zeta(s) * zeta(s) / 2.0
+            t = 0
+        elif isinstance(atom, GenAtom):
+            v, err, t, took = _eval_gen_atom(atom, s, eps_abs, spent + terms, term_budget)
+            bracketed.append(took)
+        elif isinstance(atom, FinAtom):
+            # a point past the float range gives a term below it, 0.0
+            vals = [(float(m) * float(n)) ** -s if max(m, n) < _FLOAT_LIMIT else 0.0
+                    for m, n in atom.pairs]
+            v, err, t = math.fsum(vals), 1e-15 * len(vals), len(vals)
+        elif isinstance(atom, DelimAtom):
+            v, err, t = _eval_delim_atom(atom, s, eps_abs, max(term_budget - spent - terms, 0),
+                                         term_budget)
+        else:
+            raise TypeError(atom)
+        values.append(coef * v)
+        errs.append(abs(coef) * err)
+        terms += t
+    return values, errs, terms
 
 
 # ---------------------------------------------------------------------------
@@ -914,9 +990,9 @@ def partial_double_sum(e: GaussSetExpr, s: float, N: int) -> float:
     return float(math.fsum(row_sums))
 
 
-def _method_label(atoms) -> str:
-    if any(isinstance(a, GenAtom) for a in atoms):
-        return "direct"
+def _method_label(atoms, bracketed: list) -> str:
+    if bracketed:
+        return "bracket" if all(bracketed) else "direct"
     if any(isinstance(a, DelimAtom) for a in atoms):
         return "rowwise"
     return "product-closed-form"
@@ -953,22 +1029,10 @@ def density_at(
     atoms = compile_set(e)
     if not atoms:
         return SeriesEval(s, 0.0, 0.0, 0, "product-closed-form")
-    # the axis sums of the product atoms, two per atom in map order
-    sums = iter(_axis_sums([x for a in atoms if isinstance(a, ProdAtom) for x in (a.h, a.v)], s))
     # each distinct atom is evaluated once and weighs |coef| in the error
     eps_abs = eps * z2 / sum(abs(c) for c in atoms.values())
-    values: list[float] = []
-    errs: list[float] = []
-    terms = 0
-    for atom, coef in atoms.items():
-        if isinstance(atom, ProdAtom):
-            (vh, eh, th), (vv, ev, tv) = next(sums), next(sums)
-            v, err, t = vh * vv, vh * ev + vv * eh + eh * ev, th + tv
-        else:
-            v, err, t = _eval_atom(atom, s, eps_abs, max(term_budget - terms, 0), term_budget)
-        values.append(coef * v)
-        errs.append(abs(coef) * err)
-        terms += t
+    bracketed: list[bool] = []
+    values, errs, terms = _eval_map(atoms, s, eps_abs, 0, term_budget, bracketed)
     value = max(math.fsum(values) / z2, 0.0)
     tail = math.fsum(errs) / z2 + 1e-14 * value + _TAIL_FLOOR
-    return SeriesEval(s, value, tail, terms, _method_label(atoms))
+    return SeriesEval(s, value, tail, terms, _method_label(atoms, bracketed))

@@ -289,10 +289,12 @@ class BoundFn:
             if f.exact:
                 c, a = f.exact
                 return min(c * a ** m, _HUGE)
-            if 0.0 < f.c < math.inf and 1.0 < f.base < math.inf:
-                v = f.c * f.base ** m
-            else:
-                v = math.exp(log_v)     # c or the base is past the float range, or a is near 1
+            # c or the base past the float range, or a near 1, leave only the log
+            inside = 0.0 < f.c < math.inf and 1.0 < f.base < math.inf
+            try:
+                v = f.c * f.base ** m if inside else math.exp(log_v)
+            except OverflowError:       # a^m alone passes the float range
+                v = math.exp(log_v)
         r = round(v)
         if abs(v - r) <= INT_SNAP:
             return r

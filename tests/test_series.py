@@ -312,6 +312,8 @@ def test_density_at_methods():
     assert density_at(Delimited(Constant(1), Power(1, 2)), 1.5, 1e-6).method == "rowwise"
     gen = Intersection(Delimited(Constant(1), Power(1, 2)), Lattice(2, 2))
     assert density_at(gen, 2.0, 1e-2).method == "direct"
+    # the box misses 1e-6 by more than its operands' bracket is wide
+    assert density_at(gen, 1.25, 1e-6).method == "bracket"
 
 
 def test_density_at_atom_cap():
@@ -822,7 +824,9 @@ def test_a_later_band_sums_its_start_when_earlier_atoms_spent_the_budget(monkeyp
 
     monkeypatch.setattr(series, "_eval_delim_atom", spy)
     density_at(parse_expression(text), s, eps, term_budget=budget)
-    (_, _, first), (second, (_, eps_abs, left, _), got) = seen
+    # the two bands, then the same two as operands of their meet's bracket
+    (atom, _, first), (second, (_, eps_abs, left, _), got), *operands = seen
+    assert [a for a, _, _ in operands] == [atom, second]
     assert first[2] == 16_388 and first[1] <= eps_abs
     assert left == budget - 16_388 < series._delim_plan(second).start
     assert got == evaluate(second, s, eps_abs, budget, budget)
@@ -1196,7 +1200,11 @@ def test_a_band_dilated_toward_the_float_range_has_a_true_bound(form, exp10):
 
 import tracemalloc  # noqa: E402
 
-from test_dsl_cli import _exprs as _dsl_exprs  # noqa: E402
+from hypothesis import HealthCheck  # noqa: E402
+
+from gaussdens.atoms import GenAtom  # noqa: E402
+from gaussdens.sets import Complement  # noqa: E402
+from test_dsl_cli import _bands, _exprs as _dsl_exprs  # noqa: E402
 
 _GENERIC = ("inter(delim(pow(1,1/2),pow(1,2)),lattice(2,2))",
             "inter(delim(const(1),pow(1,2)),delim(pow(1,1/2),pow(1,3)))")
@@ -1247,15 +1255,60 @@ def test_the_box_sum_holds_one_block_in_memory():
 @pytest.mark.parametrize("s", [2.0, 1.5, 1.25])
 def test_a_dense_generic_atom_against_mpmath(s):
     # off the diagonal and off the lattice M_(1000,1000): the series is
-    # zeta(s)^2 - zeta(2s) - c zeta(s)^2 + c zeta(2s) with c = 1000^(-2s).  The
-    # box value misses it by nearly the whole generic bound, so this is where
-    # the bound is tight
+    # zeta(s)^2 - zeta(2s) - c zeta(s)^2 + c zeta(2s) with c = 1000^(-2s).  Its
+    # operands' bracket is c zeta(s)^2 wide, far below the box's bound
     e = parse_expression("inter(compl(delim(pow(1,1),pow(1,1))),compl(lattice(1000,1000)))")
     ev = density_at(e, s, 1e-6)
-    assert ev.method == "direct"
+    assert ev.method == "bracket"
     with mpmath.workdps(30):
         s_ = mpmath.mpf(s)
         q = mpmath.zeta(2 * s_) / mpmath.zeta(s_) ** 2
         c = mpmath.mpf(1000) ** (-2 * s_)
         ref = 1 - q - c + c * q
         assert abs(ev.value - ref) <= ev.tail_bound
+
+
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+_PRIME_PAIRS = tuple(zip(_PRIMES, _PRIMES[1:] + _PRIMES[:1]))
+
+
+@pytest.mark.parametrize("s", [2.0, 1.5])
+def test_a_dense_generic_box_against_its_closed_form(s):
+    # outside eleven lattices with distinct primes on each axis: 2047 atoms,
+    # past ATOM_CAP, so one generic atom of the whole expression, which the
+    # box serves.  Its ratio is prod(1 - (p q)^(-s)) (CRT), and the box value
+    # misses it by 0.90 (s = 2) and 0.84 (s = 1.5) of the generic bound
+    e = Complement(reduce(Union, [Lattice(p, q) for p, q in _PRIME_PAIRS]))
+    ev = density_at(e, s, 1e-6)
+    assert ev.method == "direct"
+    with mpmath.workdps(30):
+        ref = mpmath.fprod(1 - mpmath.mpf(p * q) ** -mpmath.mpf(s) for p, q in _PRIME_PAIRS)
+        assert ev.value <= ref <= ev.value + ev.tail_bound
+
+
+_MEETS = st.builds(
+    Intersection,
+    st.one_of(_bands, _exprs, _dsl_exprs),
+    st.one_of(st.builds(Lattice, st.integers(1, 6), st.integers(1, 6)), _bands, _exprs,
+              _dsl_exprs))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@example(e=parse_expression(_GENERIC[0]))
+@example(e=parse_expression(_GENERIC[1]))
+@example(e=parse_expression("union(delim(pow(1,1/2),pow(1,2)),delim(pow(1,1/3),pow(1,1)))"))
+# a meet one of whose operands is itself a generic atom
+@example(e=parse_expression("inter(inter(delim(pow(1,1/2),pow(1,2)),lattice(2,2)),lattice(3,1))"))
+@given(e=st.one_of(_exprs, _dsl_exprs, _MEETS))
+def test_a_bracket_meets_the_box_enclosure(e):
+    # a point of an expression with a bracketed meet lies within its bound of
+    # the ratio, and so does the box's enclosure [box, box + bound]: the two
+    # intervals meet
+    assume(any(isinstance(a, GenAtom) and a.operands is not None for a in compile_set(e)))
+    n = 600
+    for s in (2.0, 1.5, 1.25, 1.0625):
+        ev = density_at(e, s, 1e-3, term_budget=10 ** 6)
+        z2 = zeta(s) ** 2
+        box = partial_double_sum(e, s, n) / z2
+        bound = 2.0 * zeta(s) * n ** (1.0 - s) / (s - 1.0) / z2
+        assert ev.value - ev.tail_bound <= box + bound and box <= ev.value + ev.tail_bound, s

@@ -257,11 +257,12 @@ def _exact_sign(b, m):
     st.builds(Exponential, _COEFS,
               st.builds(lambda p, q: 1 + Fraction(p, q), st.integers(1, 100), st.integers(1, 12)))),
     _ROWS)
-# values 1e-7, 2e-8 and 8e-9 off an integer, and (1 + 10^-9)·2^62, just past
-# _CUT_SATURATES
+# values 1e-7, 2e-8 and 8e-9 off an integer, (1 + 10^-9)·2^62, just past
+# _CUT_SATURATES, and 10^10, where the float power 10.0^310 overflows
 @example(Power(3 + Fraction(1, 10 ** 7), 1), [1, 10, 1000])
 @example(Power(5 - Fraction(1, 10 ** 8), Fraction(1, 2)), [4, 9])
 @example(Exponential(1 + Fraction(1, 10 ** 9), 2), [3, 61, 62])
+@example(Exponential(Fraction(1, 10 ** 300), 10), [309, 310, 311])
 def test_cuts_against_the_exact_rational_cut(b, rows):
     f = b.floats
     for m in rows:
@@ -336,7 +337,8 @@ def _row_near_2_to_the_61(b):
 @given(_ARRAY_CUT_BOUNDS, st.booleans(), st.integers(-40, 10 ** 6), st.integers(0, 80))
 # values 1e-9 off an integer, one ulp either side of INT_SNAP where numpy's
 # power and libm's differ by an ulp (on AVX-512), the rows around the snap at
-# 3.0000000001·m, and an exponent past int64 on row 1 alone
+# 3.0000000001·m, an exponent past int64 on row 1 alone, and an exponential
+# whose float power overflows from row 309 on
 @example(Power(Fraction(4822433305072417, 2 ** 58), Fraction(4, 3)), False, 49, 0)
 @example(Power(Fraction(2734393439370925, 2 ** 58), Fraction(5, 2)), False, 10, 0)
 @example(Power(Fraction(1999885989517589, 2 ** 55), Fraction(1, 2)), False, 2921, 0)
@@ -344,6 +346,7 @@ def _row_near_2_to_the_61(b):
 @example(Power(1, 10 ** 200), False, 1, 0)
 @example(Power(3, 2), True, 0, 20)
 @example(Exponential(7, 3), True, -10, 20)
+@example(Exponential(Fraction(1, 10 ** 300), 10), False, 300, 20)
 def test_cut_rows_is_the_scalar_cut_row_by_row(b, near_saturation, start, width):
     # near_saturation: rows from start past a row valued about 2^61.5
     # (across 2^61, where integer parameters leave int64 arithmetic, and
