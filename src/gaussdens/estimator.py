@@ -146,7 +146,9 @@ def estimate_density(
 
     Points that cannot reach the per-point target within the term budget are
     kept (with their honest tail bounds) but down-weighted in the fit and
-    flagged; such a report is never marked converged.
+    flagged; such a report is never marked converged.  Nor is one with a
+    point that took a generic meet's operand bracket: each such point is
+    bounded, but nothing yet bounds a limit extrapolated from them.
     """
 
     def point(s: float) -> SeriesEval:
@@ -167,6 +169,7 @@ def estimate_density(
     budget_limited = any(p.tail_bound > cfg.per_point_eps * 1.0001 for p in points)
     converged = (
         not budget_limited
+        and not any(p.method == "bracket" for p in points)
         and fit_residual <= RESIDUAL_FACTOR * cfg.per_point_eps
         and drift <= DRIFT_TOL
     )

@@ -864,9 +864,13 @@ def _bracket(operands, s: float, target: float, spent: int,
     terms = 0
     for atoms in operands:
         eps_abs = target / sum(abs(c) for c in atoms.values())
-        values, errs, t = _eval_map(atoms, s, eps_abs, spent + terms, term_budget, None)
+        # a generic atom inside an operand is not evaluated: it counts as
+        # [0, zeta^2], its whole mass, that is zeta^2/2 +- zeta^2/2
+        mid = [c * z2 / 2.0 for a, c in atoms.items() if isinstance(a, GenAtom)]
+        rest = {a: c for a, c in atoms.items() if not isinstance(a, GenAtom)}
+        values, errs, t, _ = _eval_map(rest, s, eps_abs, spent + terms, term_budget)
         terms += t
-        v, e = math.fsum(values), math.fsum(errs)
+        v, e = math.fsum(values + mid), math.fsum(errs + [abs(x) for x in mid])
         ends.append((v - e, v + e))
     (lo_a, hi_a), (lo_b, hi_b) = ends
     upper = min(hi_a, hi_b, z2)
@@ -884,7 +888,9 @@ def _eval_gen_atom(atom: GenAtom, s: float, eps_abs: float, spent: int,
     operands' bracket (_bracket) is taken instead if it is no wider than the
     box's bound; then no cell is summed and bracketed is True.  Each operand
     is evaluated to a quarter of the box's bound, so their errors take at most
-    half of it, or to _BRACKET_EPS in ratio units where that is tighter.
+    half of it, or to _BRACKET_EPS in ratio units where that is tighter.  A
+    bracket that loses to the box is work on top of the budget: its terms are
+    not counted, so the box keeps the N (and bits) it would have without one.
     """
     z = zeta(s)
     d = s - 1.0
@@ -911,31 +917,25 @@ def _eval_gen_atom(atom: GenAtom, s: float, eps_abs: float, spent: int,
     return value, bound(n), n * n, False
 
 
-def _eval_map(atoms, s: float, eps_abs: float, spent: int, term_budget: int,
-              bracketed: Optional[list]) -> tuple[list[float], list[float], int]:
-    """(coef * value per atom, |coef| * error bound per atom, terms) of a
-    compiled map at s, each atom evaluated to eps_abs with spent terms of the
-    point's term_budget gone.  Each generic atom appends to bracketed whether
-    it took its bracket.
-
-    With bracketed None (an operand of a bracket), a generic atom counts as
-    [0, zeta^2], its whole mass, and is not evaluated.
-    """
+def _eval_map(atoms, s: float, eps_abs: float, spent: int,
+              term_budget: int) -> tuple[list[float], list[float], int, list[bool]]:
+    """(coef * value per atom, |coef| * error bound per atom, terms, took) of
+    a compiled map at s, each atom evaluated to eps_abs with spent terms of
+    the point's term_budget gone; took says, per generic atom in map order,
+    whether it took its bracket."""
     # the axis sums of the product atoms, two per atom in map order
     sums = iter(_axis_sums([x for a in atoms if isinstance(a, ProdAtom) for x in (a.h, a.v)], s))
     values: list[float] = []
     errs: list[float] = []
     terms = 0
+    took: list[bool] = []
     for atom, coef in atoms.items():
         if isinstance(atom, ProdAtom):
             (vh, eh, th), (vv, ev, tv) = next(sums), next(sums)
             v, err, t = vh * vv, vh * ev + vv * eh + eh * ev, th + tv
-        elif isinstance(atom, GenAtom) and bracketed is None:
-            v = err = zeta(s) * zeta(s) / 2.0
-            t = 0
         elif isinstance(atom, GenAtom):
-            v, err, t, took = _eval_gen_atom(atom, s, eps_abs, spent + terms, term_budget)
-            bracketed.append(took)
+            v, err, t, bracketed = _eval_gen_atom(atom, s, eps_abs, spent + terms, term_budget)
+            took.append(bracketed)
         elif isinstance(atom, FinAtom):
             # a point past the float range gives a term below it, 0.0
             vals = [(float(m) * float(n)) ** -s if max(m, n) < _FLOAT_LIMIT else 0.0
@@ -949,7 +949,7 @@ def _eval_map(atoms, s: float, eps_abs: float, spent: int, term_budget: int,
         values.append(coef * v)
         errs.append(abs(coef) * err)
         terms += t
-    return values, errs, terms
+    return values, errs, terms, took
 
 
 # ---------------------------------------------------------------------------
@@ -1031,8 +1031,7 @@ def density_at(
         return SeriesEval(s, 0.0, 0.0, 0, "product-closed-form")
     # each distinct atom is evaluated once and weighs |coef| in the error
     eps_abs = eps * z2 / sum(abs(c) for c in atoms.values())
-    bracketed: list[bool] = []
-    values, errs, terms = _eval_map(atoms, s, eps_abs, 0, term_budget, bracketed)
+    values, errs, terms, bracketed = _eval_map(atoms, s, eps_abs, 0, term_budget)
     value = max(math.fsum(values) / z2, 0.0)
     tail = math.fsum(errs) / z2 + 1e-14 * value + _TAIL_FLOOR
     return SeriesEval(s, value, tail, terms, _method_label(atoms, bracketed))
